@@ -10,9 +10,10 @@ increasing subsequences (the empty one included), and the subsequence length
 equals the nesting degree of the vertex: the minimal number of alternating
 blocks needed to reach it.
 
-`nesting_degree_oracle` recomputes nesting degrees without any shortest-path
-machinery, by a 0/1 alternation-cost search over raw map applications, and
-exists so the two routes can be compared.
+`phi_all` labels every vertex in one pass over the shortest-path tree;
+`shortest_path` and `block_decomposition` are the path-by-path oracle route
+the tests compare it against, and `nesting_degree_oracle` a tree-free one: a
+0/1 alternation-cost search over raw map applications.
 """
 
 from __future__ import annotations
@@ -206,17 +207,21 @@ def block_decomposition(p: Path) -> BlockDecomposition:
 def phi(g: PreisachGraph, sigma: SpinConfig) -> IncreasingSubsequence:
     """The increasing subsequence of a vertex: switch-back labels of its
     shortest path, reversed."""
-    bd = block_decomposition(shortest_path(g, sigma))
-    return increasing_subsequence(tuple(reversed(bd.labels)), g.perm)
+    if sigma not in g.vertices:
+        raise ValueError(f"not a vertex: {sigma.spins}")
+    return phi_all(g)[sigma]
 
 
 def phi_all(g: PreisachGraph) -> dict[SpinConfig, IncreasingSubsequence]:
-    """phi for every vertex, from a single shortest-path tree."""
+    """phi for every vertex, in one pass over the shortest-path tree, which
+    lists parents first.  An edge of the parent's tree-edge kind replaces the
+    parent's newest switch-back label; an edge of the other kind prepends one."""
     tree = shortest_path_tree(g)
-    out = {}
-    for v in g.vertices:
-        bd = block_decomposition(Path(g.alpha, _edges_to(tree, g.alpha, v), v))
-        out[v] = increasing_subsequence(tuple(reversed(bd.labels)), g.perm)
+    out = {g.alpha: IncreasingSubsequence(())}
+    for v, e in tree.items():
+        s = out[e.src].values
+        same_kind = e.src in tree and tree[e.src].kind is e.kind
+        out[v] = IncreasingSubsequence((e.label,) + (s[1:] if same_kind else s))
     return out
 
 
@@ -260,17 +265,12 @@ def phi_inverse_constructive(rho: Permutation, s: IncreasingSubsequence) -> Spin
 
 def nesting_degree(g: PreisachGraph, sigma: SpinConfig) -> int:
     """Number of blocks of the unique shortest path to sigma; 0 for alpha."""
-    return len(block_decomposition(shortest_path(g, sigma)).blocks)
+    return len(phi(g, sigma))
 
 
 def nesting_degrees(g: PreisachGraph) -> dict[SpinConfig, int]:
-    """Nesting degree of every vertex, from a single shortest-path tree."""
-    tree = shortest_path_tree(g)
-    out = {}
-    for v in g.vertices:
-        bd = block_decomposition(Path(g.alpha, _edges_to(tree, g.alpha, v), v))
-        out[v] = len(bd.blocks)
-    return out
+    """Nesting degree of every vertex: the length of its phi."""
+    return {v: len(s) for v, s in phi_all(g).items()}
 
 
 def nesting_of_graph(g: PreisachGraph) -> int:

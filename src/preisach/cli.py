@@ -14,8 +14,15 @@ from dataclasses import dataclass
 from itertools import permutations as all_permutations
 from statistics import pstdev
 
-from .bijection import nesting_degree, nesting_degrees, phi, phi_all, phi_inverse
-from .core import Permutation, SpinConfig, make_permutation
+from .bijection import (
+    alternation_degrees,
+    nesting_degree,
+    nesting_of_graph,
+    phi,
+    phi_all,
+    phi_inverse,
+)
+from .core import Permutation, SpinConfig, alpha, make_permutation, omega
 from .graph import (
     DEFAULT_MAX_VERTICES,
     EdgeKind,
@@ -118,26 +125,39 @@ def export_json(g: PreisachGraph) -> str:
 
 
 def load_json(text: str) -> PreisachGraph:
-    """Rebuild a graph from export_json output."""
-    payload = json.loads(text)
-    rho = make_permutation(payload["perm"])
-    n = rho.n
-    if payload["n"] != n:
-        raise ValueError(f"inconsistent n: {payload['n']} vs permutation of {n}")
-    vertices = frozenset(parse_config(s, n) for s in payload["vertices"])
-    u_next: dict[SpinConfig, LabeledEdge] = {}
-    d_next: dict[SpinConfig, LabeledEdge] = {}
-    for item in payload["edges"]:
-        src = parse_config(item["from"], n)
-        dst = parse_config(item["to"], n)
-        kind = EdgeKind(item["kind"])
-        edge = LabeledEdge(src, dst, kind, int(item["label"]))
-        if kind is EdgeKind.U:
-            u_next[src] = edge
-        else:
-            d_next[src] = edge
-    from .core import alpha, omega
+    """Rebuild a graph from export_json output.
 
+    Raises ValueError for a malformed payload: a missing key or a value of
+    the wrong shape, an edge endpoint that is not a listed vertex, a label
+    outside 1..n, or a second edge of one kind from the same source.
+    """
+    payload = json.loads(text)
+    try:
+        rho = make_permutation(payload["perm"])
+        n = rho.n
+        if payload["n"] != n:
+            raise ValueError(f"inconsistent n: {payload['n']} vs permutation of {n}")
+        vertex_of = {s: parse_config(s, n) for s in payload["vertices"]}
+        u_next: dict[SpinConfig, LabeledEdge] = {}
+        d_next: dict[SpinConfig, LabeledEdge] = {}
+        for item in payload["edges"]:
+            src = vertex_of.get(item["from"])
+            dst = vertex_of.get(item["to"])
+            if src is None or dst is None:
+                raise ValueError(
+                    f"edge {item['from']} -> {item['to']}: endpoint is not a listed vertex"
+                )
+            kind = EdgeKind(item["kind"])
+            label = item["label"]
+            if not isinstance(label, int) or not 1 <= label <= n:
+                raise ValueError(f"edge label {label!r} outside 1..{n}")
+            edges = u_next if kind is EdgeKind.U else d_next
+            if src in edges:
+                raise ValueError(f"second {kind.value}-edge from {item['from']}")
+            edges[src] = LabeledEdge(src, dst, kind, label)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed graph JSON: {exc!r}") from None
+    vertices = frozenset(vertex_of.values())
     return PreisachGraph(rho, vertices, u_next, d_next, alpha(n), omega(n))
 
 
@@ -172,8 +192,9 @@ class VerifyReport:
 def cmd_verify(rho: Permutation, max_vertices: int = DEFAULT_MAX_VERTICES) -> VerifyReport:
     """Build the graph both ways and check every structural identity:
     builder equality, vertex count = subsequence count, bijectivity of phi
-    with the length identity, graph nesting = LIS length, loop return-point
-    memory of (alpha, omega), and both merge identities."""
+    with each length equal to the tree-free minimal alternation count, graph
+    nesting = LIS length, loop return-point memory of (alpha, omega), and
+    both merge identities."""
     t0 = time.perf_counter()
     g = build_bfs(rho, max_vertices)
     g_fwd = build_forward(rho, max_vertices)
@@ -183,16 +204,16 @@ def cmd_verify(rho: Permutation, max_vertices: int = DEFAULT_MAX_VERTICES) -> Ve
     cardinality_ok = len(g.vertices) == count
 
     images = phi_all(g)
-    degrees = nesting_degrees(g)
     expected = enumerate_increasing(rho, max_items=max(count, 1)).value_tuples()
     got = {s.values for s in images.values()}
     bijection_ok = (
         len(got) == len(g.vertices)
         and got == expected
-        and all(len(images[v]) == degrees[v] for v in g.vertices)
+        and {v: len(s) for v, s in images.items()}
+        == alternation_degrees(rho, max_vertices)
     )
 
-    nesting = max(degrees.values())
+    nesting = max(map(len, images.values()))
     lis = lis_patience(rho)
     nesting_ok = nesting == lis
 
@@ -311,7 +332,7 @@ def cmd_stats(
         lis_values.append(lis)
         if count_increasing(rho) <= max_vertices:
             g = build_bfs(rho, max_vertices)
-            if max(nesting_degrees(g).values()) != lis:
+            if nesting_of_graph(g) != lis:
                 raise RuntimeError(
                     f"graph nesting != LIS for {rho.values}"
                 )
@@ -408,7 +429,7 @@ def _cmd_nesting(args: argparse.Namespace) -> int:
     rho = parse_permutation(args.perm)
     g = build_bfs(rho, args.max_vertices)
     if args.vertex is None:
-        value = max(nesting_degrees(g).values())
+        value = nesting_of_graph(g)
     else:
         value = nesting_degree(g, parse_config(args.vertex, rho.n))
     _write_out(str(value), args.out)

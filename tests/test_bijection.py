@@ -83,8 +83,9 @@ def test_uniqueness_tripwire_fires_on_a_forged_graph():
         alpha=a,
         omega=d,
     )
-    with pytest.raises(UniquenessViolation, match="uniqueness violated"):
-        shortest_path_tree(g)
+    for labelling in (shortest_path_tree, phi_all):
+        with pytest.raises(UniquenessViolation, match="uniqueness violated"):
+            labelling(g)
 
 
 def test_block_decomposition_empty():
@@ -189,6 +190,8 @@ def _assert_bijection(rho):
     assert len(g.vertices) == count_increasing(rho)
     oracle = alternation_degrees(rho)
     for v in g.vertices:
+        path_labels = block_decomposition(shortest_path(g, v)).labels
+        assert images[v].values == tuple(reversed(path_labels))
         assert len(images[v]) == degrees[v] == oracle[v]
         assert phi_inverse(g, images[v]) == v
         assert phi_inverse_constructive(rho, images[v]) == v

@@ -5,7 +5,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from preisach import SpinConfig, alpha, build_bfs, make_permutation
+import preisach.cli
+from preisach import SpinConfig, alpha, build_bfs, make_permutation, omega
 from preisach.cli import (
     cmd_stats,
     cmd_verify,
@@ -115,6 +116,19 @@ def test_cmd_verify_five_spins():
     assert report.passed() and report.lis == 3
 
 
+def test_cmd_verify_checks_phi_lengths_against_alternation_oracle(monkeypatch):
+    real = preisach.cli.alternation_degrees
+
+    def off_by_one(rho, max_vertices):
+        degrees = real(rho, max_vertices)
+        degrees[omega(rho.n)] += 1
+        return degrees
+
+    monkeypatch.setattr(preisach.cli, "alternation_degrees", off_by_one)
+    report = cmd_verify(RHO231)
+    assert not report.bijection_ok and not report.passed()
+
+
 def test_cmd_verify_all_small():
     summary = cmd_verify_all(3)
     assert summary.checked == 6 and not summary.failures
@@ -182,6 +196,45 @@ def test_cli_verify_output(capsys):
     assert "result=PASS" in out
     assert "vertices=5" in out
     assert "nesting_of_graph=2" in out
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("[]", "malformed"),
+        ('{"n":1,"vertices":["-","+"],"edges":[]}', "malformed.*perm"),
+        ('{"n":1,"perm":[1],"vertices":["-","+"],"edges":["U"]}', "malformed"),
+        ('{"n":1,"perm":[1],"vertices":[1,2],"edges":[]}', "malformed"),
+        (
+            '{"n":2,"perm":[1,2],"vertices":["--"],'
+            '"edges":[{"from":"++","to":"--","kind":"U","label":7}]}',
+            "not a listed vertex",
+        ),
+        (
+            '{"n":1,"perm":[1],"vertices":["-","+"],'
+            '"edges":[{"from":"-","to":"+","kind":"U","label":7}]}',
+            "outside 1..1",
+        ),
+        (
+            '{"n":1,"perm":[1],"vertices":["-","+"],'
+            '"edges":[{"from":"-","to":"+","kind":"U","label":1},'
+            '{"from":"-","to":"-","kind":"U","label":1}]}',
+            "second U-edge",
+        ),
+    ],
+    ids=[
+        "top-level-list",
+        "missing-perm",
+        "edge-not-an-object",
+        "vertex-not-a-string",
+        "endpoint-not-a-vertex",
+        "label-out-of-range",
+        "second-edge-of-one-kind",
+    ],
+)
+def test_load_json_rejects_malformed_payload(text, match):
+    with pytest.raises(ValueError, match=match):
+        load_json(text)
 
 
 def test_cli_export_to_file(tmp_path):
