@@ -129,7 +129,8 @@ def load_json(text: str) -> PreisachGraph:
 
     Raises ValueError for a malformed payload: a missing key or a value of
     the wrong shape, an edge endpoint that is not a listed vertex, a label
-    outside 1..n, or a second edge of one kind from the same source.
+    outside 1..n, a second edge of one kind from the same source, or an edge
+    that is not the U- or D-transition of perm from its source.
     """
     payload = json.loads(text)
     try:
@@ -154,6 +155,16 @@ def load_json(text: str) -> PreisachGraph:
             edges = u_next if kind is EdgeKind.U else d_next
             if src in edges:
                 raise ValueError(f"second {kind.value}-edge from {item['from']}")
+            s = item["from"]
+            if kind is EdgeKind.U:
+                i, flip = s.find("-") + 1, "+"
+            else:
+                i, flip = next((v for v in rho.values if s[v - 1] == "+"), 0), "-"
+            if label != i or item["to"] != s[: i - 1] + flip + s[i:]:
+                raise ValueError(
+                    f"edge {s} -> {item['to']} label {label}: "
+                    f"not the {kind.value}-transition of perm"
+                )
             edges[src] = LabeledEdge(src, dst, kind, label)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed graph JSON: {exc!r}") from None
@@ -562,3 +573,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def run() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -6,11 +6,12 @@ every vertex except alpha.  Edges carry the index of the spin they flip.
 The fixed-point transitions at alpha and omega are never stored.
 
 Two independent builders are provided.  `build_bfs` closes {alpha} under the
-two maps.  `build_forward` grows the graph value by value: the graph for the
-entries <= m+1 is the graph for the entries <= m (spin m+1 down everywhere)
-plus a copy, with spin m+1 up, of the sub-loop hanging below the top vertex,
-joined by one U-edge and one D-edge labeled m+1.  The two results are equal
-as labeled graphs; the test suite checks this exhaustively for small sizes.
+two maps.  `build_forward` grows one graph of n-spin configurations value by
+value: the graph for the entries <= m+1 is the graph for the entries <= m,
+whose vertices all have spin m+1 down, plus a copy, with spin m+1 up, of the
+sub-loop hanging below the top vertex, joined by one U-edge and one D-edge
+labeled m+1.  The two results are equal as labeled graphs; the test suite
+checks this exhaustively for small sizes.
 
 Cycles, absorption, loop return-point memory and loops follow the orbit
 definitions directly; `verify_lrpm` is an equivalent accelerated check for
@@ -87,8 +88,11 @@ class PreisachGraph:
     """The reachable configurations with their unique U- and D-successors.
 
     Immutable after construction; equality is structural over vertices,
-    edges, kinds and labels.
+    edges, kinds and labels.  Unhashable on purpose: the edge maps are dicts,
+    so a hash over the fields cannot be formed.
     """
+
+    __hash__ = None  # type: ignore[assignment]
 
     perm: Permutation
     vertices: frozenset[SpinConfig]
@@ -228,88 +232,60 @@ def build_bfs(rho: Permutation, max_vertices: int = DEFAULT_MAX_VERTICES) -> Pre
     return PreisachGraph(rho, frozenset(vertices), u_next, d_next, start, omega(rho.n))
 
 
-def _sub_permutation(rho: Permutation, m: int) -> Permutation:
-    """The entries of rho with value <= m, in their original relative order."""
-    return Permutation(tuple(v for v in rho.values if v <= m))
-
-
-def _extend(sigma: SpinConfig, spin: int) -> SpinConfig:
-    return SpinConfig(sigma.spins + (spin,))
-
-
 def build_forward(rho: Permutation, max_vertices: int = DEFAULT_MAX_VERTICES) -> PreisachGraph:
     """Grow the graph value by value instead of closing under the maps.
 
-    Step m (2 <= m <= n) turns the graph of the entries <= m-1 into the graph
-    of the entries <= m: every existing vertex gets spin m set to -1; the
-    loop between D^{k-1}(top) and the top vertex, k being the position of m
-    among the entries <= m, is duplicated with spin m set to +1, keeping edge
-    labels; one U-edge and one D-edge labeled m join the two parts.
+    Every vertex carries all n spins from the start, a spin not yet added
+    being -1, so the graph of the entries <= m-1 already is the part of the
+    graph of the entries <= m with spin m down.  Step m (2 <= m <= n) grows
+    it in place: the loop between D^{k-1}(top) and the top vertex, k being
+    the position of m among the entries <= m, is duplicated with spin m
+    flipped to +1, keeping edge labels; one U-edge and one D-edge labeled m
+    join the two parts.  No vertex outside the duplicated loop is touched.
 
     Returns a graph equal to build_bfs(rho).
     """
-    n_total = rho.n
     if max_vertices < 2:
         raise VertexBudgetExceeded(
             f"vertex budget exceeded: graph needs more than {max_vertices} vertices"
         )
-    a1 = SpinConfig((-1,))
-    w1 = SpinConfig((1,))
-    vertices = {a1, w1}
-    u_next = {a1: LabeledEdge(a1, w1, EdgeKind.U, 1)}
-    d_next = {w1: LabeledEdge(w1, a1, EdgeKind.D, 1)}
+    start = alpha(rho.n)
+    top = start.flipped(1)
+    vertices = {start, top}
+    u_next = {start: LabeledEdge(start, top, EdgeKind.U, 1)}
+    d_next = {top: LabeledEdge(top, start, EdgeKind.D, 1)}
+    u_step, d_step = _dict_steppers(u_next, d_next)
 
-    for m in range(2, n_total + 1):
-        sub = _sub_permutation(rho, m)
-        k = sub.position_of(m)
-        top = omega(m - 1)
+    for m in range(2, rho.n + 1):
+        k = sum(1 for v in rho.values[: rho.position_of(m)] if v <= m)
         bottom = top
         for _ in range(k - 1):
             bottom = d_next[bottom].dst
-        u_step, d_step = _dict_steppers(u_next, d_next)
         loop = _loop_union(u_step, d_step, bottom, top)
         if len(vertices) + len(loop) > max_vertices:
             raise VertexBudgetExceeded(
                 f"vertex budget exceeded: graph needs more than {max_vertices} vertices"
             )
 
-        new_u: dict[SpinConfig, LabeledEdge] = {}
-        new_d: dict[SpinConfig, LabeledEdge] = {}
-        new_vertices = {_extend(v, -1) for v in vertices}
-        for e in u_next.values():
-            src, dst = _extend(e.src, -1), _extend(e.dst, -1)
-            new_u[src] = LabeledEdge(src, dst, EdgeKind.U, e.label)
-        for e in d_next.values():
-            src, dst = _extend(e.src, -1), _extend(e.dst, -1)
-            new_d[src] = LabeledEdge(src, dst, EdgeKind.D, e.label)
-
-        for v in loop:
-            new_vertices.add(_extend(v, 1))
-        for v in loop:
-            src = _extend(v, 1)
+        copy = {v: v.flipped(m) for v in loop}
+        vertices.update(copy.values())
+        for v, src in copy.items():
             if v != top:
                 e = u_next[v]
-                if e.dst not in loop:
+                if e.dst not in copy:
                     raise RuntimeError("loop not closed under U")
-                new_u[src] = LabeledEdge(src, _extend(e.dst, 1), EdgeKind.U, e.label)
+                u_next[src] = LabeledEdge(src, copy[e.dst], EdgeKind.U, e.label)
             if v != bottom:
                 e = d_next[v]
-                if e.dst not in loop:
+                if e.dst not in copy:
                     raise RuntimeError("loop not closed under D")
-                new_d[src] = LabeledEdge(src, _extend(e.dst, 1), EdgeKind.D, e.label)
+                d_next[src] = LabeledEdge(src, copy[e.dst], EdgeKind.D, e.label)
 
-        low_top = _extend(top, -1)
-        high_top = _extend(top, 1)
-        new_u[low_top] = LabeledEdge(low_top, high_top, EdgeKind.U, m)
-        high_bottom = _extend(bottom, 1)
-        low_bottom = _extend(bottom, -1)
-        new_d[high_bottom] = LabeledEdge(high_bottom, low_bottom, EdgeKind.D, m)
+        u_next[top] = LabeledEdge(top, copy[top], EdgeKind.U, m)
+        d_next[copy[bottom]] = LabeledEdge(copy[bottom], bottom, EdgeKind.D, m)
+        top = copy[top]
 
-        vertices, u_next, d_next = new_vertices, new_u, new_d
-
-    return PreisachGraph(
-        rho, frozenset(vertices), u_next, d_next, alpha(n_total), omega(n_total)
-    )
+    return PreisachGraph(rho, frozenset(vertices), u_next, d_next, start, top)
 
 
 def u_orbit(rho: Permutation, sigma: SpinConfig) -> list[SpinConfig]:

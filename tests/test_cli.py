@@ -1,9 +1,16 @@
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import preisach.cli
 from preisach import SpinConfig, alpha, build_bfs, make_permutation, omega
@@ -20,6 +27,7 @@ from preisach.cli import (
     parse_permutation,
     random_permutation,
 )
+from strategies import permutations_st
 
 RHO231 = make_permutation([2, 3, 1])
 
@@ -80,9 +88,26 @@ def test_export_json_single_spin():
     )
 
 
-def test_export_json_round_trip():
-    g = build_bfs(make_permutation([2, 4, 3, 1]))
+@given(permutations_st(max_n=8))
+def test_export_json_round_trip(rho):
+    g = build_bfs(rho)
     assert load_json(export_json(g)) == g
+
+
+@settings(max_examples=50)
+@given(permutations_st(max_n=6), st.data())
+def test_load_json_rejects_mutated_edge(rho, data):
+    payload = json.loads(export_json(build_bfs(rho)))
+    edge = data.draw(st.sampled_from(payload["edges"]))
+    labels = [i for i in range(1, rho.n + 1) if i != edge["label"]]
+    if labels and data.draw(st.booleans()):
+        edge["label"] = data.draw(st.sampled_from(labels))
+    else:
+        edge["to"] = data.draw(
+            st.sampled_from([v for v in payload["vertices"] if v != edge["to"]])
+        )
+    with pytest.raises(ValueError, match="transition"):
+        load_json(json.dumps(payload))
 
 
 def test_exports_are_deterministic():
@@ -221,6 +246,26 @@ def test_cli_verify_output(capsys):
             '{"from":"-","to":"-","kind":"U","label":1}]}',
             "second U-edge",
         ),
+        (
+            '{"n":2,"perm":[1,2],"vertices":["--","+-"],'
+            '"edges":[{"from":"--","to":"+-","kind":"U","label":2}]}',
+            "not the U-transition",
+        ),
+        (
+            '{"n":1,"perm":[1],"vertices":["-","+"],'
+            '"edges":[{"from":"-","to":"+","kind":"D","label":1}]}',
+            "not the D-transition",
+        ),
+        (
+            '{"n":2,"perm":[1,2],"vertices":["--","-+"],'
+            '"edges":[{"from":"--","to":"-+","kind":"U","label":2}]}',
+            "not the U-transition",
+        ),
+        (
+            '{"n":2,"perm":[2,1],"vertices":["++","-+"],'
+            '"edges":[{"from":"++","to":"-+","kind":"D","label":1}]}',
+            "not the D-transition",
+        ),
     ],
     ids=[
         "top-level-list",
@@ -230,11 +275,31 @@ def test_cli_verify_output(capsys):
         "endpoint-not-a-vertex",
         "label-out-of-range",
         "second-edge-of-one-kind",
+        "wrong-label",
+        "wrong-direction",
+        "u-edge-not-i-plus",
+        "d-edge-not-i-minus",
     ],
 )
 def test_load_json_rejects_malformed_payload(text, match):
     with pytest.raises(ValueError, match=match):
         load_json(text)
+
+
+def test_cli_runs_as_module():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+
+    def cli(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "preisach.cli", *args],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+
+    ok = cli("lis", "--perm", "2,3,1")
+    assert ok.returncode == 0 and ok.stdout == "2\n"
+    assert cli("lis", "--perm", "2,2,1").returncode == 2
 
 
 def test_cli_export_to_file(tmp_path):

@@ -15,6 +15,7 @@ from preisach import (
     build_forward,
     check_absorption,
     check_lrpm,
+    count_increasing,
     cycle_of,
     d_orbit,
     decompose,
@@ -89,6 +90,23 @@ def test_build_bfs_budget():
 def test_build_forward_budget():
     with pytest.raises(VertexBudgetExceeded, match="budget exceeded"):
         build_forward(make_permutation(range(1, 9)), max_vertices=100)
+
+
+@pytest.mark.parametrize("build", [build_bfs, build_forward])
+@pytest.mark.parametrize(
+    "values", [(1,), (2, 3, 1), (2, 4, 3, 5, 1), (1, 2, 3, 4, 5), (4, 3, 2, 1)]
+)
+def test_budget_is_exact(build, values):
+    rho = make_permutation(values)
+    count = count_increasing(rho)
+    assert len(build(rho, max_vertices=count).vertices) == count
+    with pytest.raises(VertexBudgetExceeded, match="budget exceeded"):
+        build(rho, max_vertices=count - 1)
+
+
+def test_graph_is_unhashable():
+    with pytest.raises(TypeError, match="PreisachGraph"):
+        hash(build_bfs(RHO231))
 
 
 def test_build_forward_fig3_instance():
