@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .core import Permutation, SpinConfig, SpinIndex, alpha, invert
+from .core import Permutation, SpinConfig, SpinIndex, alpha
 from .graph import (
     DEFAULT_MAX_VERTICES,
     EdgeKind,
@@ -78,7 +78,6 @@ def increasing_subsequence(values, rho: Permutation) -> IncreasingSubsequence:
     the empty sequence is valid.
     """
     vals = tuple(values)
-    pos = invert(rho).values
     last_v = 0
     last_p = 0
     for v in vals:
@@ -86,9 +85,10 @@ def increasing_subsequence(values, rho: Permutation) -> IncreasingSubsequence:
             raise ValueError(
                 f"not an increasing subsequence of {rho.values}: value {v} out of range"
             )
-        if v <= last_v or pos[v - 1] <= last_p:
+        p = rho.position_of(v)
+        if v <= last_v or p <= last_p:
             raise ValueError(f"not an increasing subsequence of {rho.values}: {vals}")
-        last_v, last_p = v, pos[v - 1]
+        last_v, last_p = v, p
     return IncreasingSubsequence(vals)
 
 

@@ -128,16 +128,21 @@ def load_json(text: str) -> PreisachGraph:
     """Rebuild a graph from export_json output.
 
     Raises ValueError for a malformed payload: a missing key or a value of
-    the wrong shape, an edge endpoint that is not a listed vertex, a label
-    outside 1..n, a second edge of one kind from the same source, or an edge
-    that is not the U- or D-transition of perm from its source.
+    the wrong shape (a boolean n or label included), an edge endpoint that is
+    not a listed vertex, a label outside 1..n, a second edge of one kind from
+    the same source, an edge that is not the U- or D-transition of perm from
+    its source, or a payload that is not the whole graph: a vertex listed
+    twice, alpha or omega not listed, a listed vertex other than omega
+    without its U-edge or other than alpha without its D-edge, or a vertex
+    count other than the number of increasing subsequences of perm.  A
+    payload that passes is the graph build_bfs(perm) builds.
     """
     payload = json.loads(text)
     try:
         rho = make_permutation(payload["perm"])
         n = rho.n
-        if payload["n"] != n:
-            raise ValueError(f"inconsistent n: {payload['n']} vs permutation of {n}")
+        if type(payload["n"]) is not int or payload["n"] != n:
+            raise ValueError(f"inconsistent n: {payload['n']!r} vs permutation of {n}")
         vertex_of = {s: parse_config(s, n) for s in payload["vertices"]}
         u_next: dict[SpinConfig, LabeledEdge] = {}
         d_next: dict[SpinConfig, LabeledEdge] = {}
@@ -150,7 +155,7 @@ def load_json(text: str) -> PreisachGraph:
                 )
             kind = EdgeKind(item["kind"])
             label = item["label"]
-            if not isinstance(label, int) or not 1 <= label <= n:
+            if type(label) is not int or not 1 <= label <= n:
                 raise ValueError(f"edge label {label!r} outside 1..{n}")
             edges = u_next if kind is EdgeKind.U else d_next
             if src in edges:
@@ -166,10 +171,27 @@ def load_json(text: str) -> PreisachGraph:
                     f"not the {kind.value}-transition of perm"
                 )
             edges[src] = LabeledEdge(src, dst, kind, label)
+        if len(vertex_of) != len(payload["vertices"]):
+            raise ValueError("a vertex is listed twice")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed graph JSON: {exc!r}") from None
     vertices = frozenset(vertex_of.values())
-    return PreisachGraph(rho, vertices, u_next, d_next, alpha(n), omega(n))
+    bottom, top = alpha(n), omega(n)
+    if bottom not in vertices or top not in vertices:
+        raise ValueError("alpha or omega is not a listed vertex")
+    # every source is a listed vertex, omega has no U-edge and alpha no
+    # D-edge, so a short count means some listed vertex lacks its edge
+    for kind, edges in (("U", u_next), ("D", d_next)):
+        if len(edges) < len(vertices) - 1:
+            raise ValueError(
+                f"{len(vertices) - 1 - len(edges)} listed vertices lack a {kind}-edge"
+            )
+    count = count_increasing(rho)
+    if len(vertices) != count:
+        raise ValueError(
+            f"{len(vertices)} vertices listed, perm has {count} increasing subsequences"
+        )
+    return PreisachGraph(rho, vertices, u_next, d_next, bottom, top)
 
 
 @dataclass

@@ -50,7 +50,7 @@ class Permutation:
         n = len(self.values)
         seen = set()
         for v in self.values:
-            if not isinstance(v, int):
+            if type(v) is not int:
                 raise ValueError(f"non-integer value {v!r}")
             if not 1 <= v <= n:
                 raise ValueError(f"value {v} out of range 1..{n}")

@@ -14,8 +14,9 @@ labeled m+1.  The two results are equal as labeled graphs; the test suite
 checks this exhaustively for small sizes.
 
 Cycles, absorption, loop return-point memory and loops follow the orbit
-definitions directly; `verify_lrpm` is an equivalent accelerated check for
-an already-built graph, cross-validated against the direct one in the tests.
+definitions directly.  `build_forward`, `loop_vertices` and `verify_lrpm`
+share one walk over the major sub-cycles of a pair; `check_lrpm` stays the
+literal recursive definition the tests cross-validate `verify_lrpm` against.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 from .core import (
     Permutation,
@@ -368,10 +369,13 @@ def check_lrpm(rho: Permutation, c: Cycle) -> bool:
     return has_lrpm(c.mu, c.nu)
 
 
-def _loop_union(
+def _subcycle_walk(
     u_step: Stepper, d_step: Stepper, mu: SpinConfig, nu: SpinConfig
-) -> set[SpinConfig]:
-    """Iterative union of the boundary states of major sub-cycles of (mu, nu)."""
+) -> set[SpinConfig] | None:
+    """Walk the major sub-cycles of (mu, nu): from a reached pair (m, v) on
+    to (m, u) for each state u of its U-boundary and (w, v) for each state w
+    of its D-boundary.  Returns the union of the boundary states, or None as
+    soon as a reached pair is not a cycle."""
     seen: set[tuple[SpinConfig, SpinConfig]] = set()
     verts: set[SpinConfig] = set()
     stack = [(mu, nu)]
@@ -384,15 +388,21 @@ def _loop_union(
         ub = _chain(u_step, m, v)
         db = _chain(d_step, v, m)
         if ub is None or db is None:
-            raise RuntimeError("cycle structure violated inside a loop")
+            return None
         verts.update(ub)
         verts.update(db)
-        for u in ub:
-            if (m, u) not in seen:
-                stack.append((m, u))
-        for w in db:
-            if (w, v) not in seen:
-                stack.append((w, v))
+        stack.extend((m, u) for u in ub)
+        stack.extend((w, v) for w in db)
+    return verts
+
+
+def _loop_union(
+    u_step: Stepper, d_step: Stepper, mu: SpinConfig, nu: SpinConfig
+) -> set[SpinConfig]:
+    """The union of the boundary states of the major sub-cycles of (mu, nu)."""
+    verts = _subcycle_walk(u_step, d_step, mu, nu)
+    if verts is None:
+        raise RuntimeError("cycle structure violated inside a loop")
     return verts
 
 
@@ -405,81 +415,30 @@ def loop_vertices(rho: Permutation, c: Cycle) -> set[SpinConfig]:
     return _loop_union(u_step, d_step, c.mu, c.nu)
 
 
-class _OrbitForest:
-    """Preorder intervals over a successor map, rooted at its fixed point.
-
-    `on_orbit(t, s)` answers "does the successor orbit of s pass through t"
-    in O(1): t lies on the orbit of s iff s is in the subtree of t.
-    """
-
-    def __init__(
-        self,
-        next_map: dict[SpinConfig, LabeledEdge],
-        root: SpinConfig,
-        vertices: Iterable[SpinConfig],
-    ) -> None:
-        children: dict[SpinConfig, list[SpinConfig]] = {v: [] for v in vertices}
-        for src, e in next_map.items():
-            children[e.dst].append(src)
-        tin: dict[SpinConfig, int] = {}
-        tout: dict[SpinConfig, int] = {}
-        t = 0
-        stack: list[tuple[SpinConfig, bool]] = [(root, False)]
-        while stack:
-            v, done = stack.pop()
-            if done:
-                tout[v] = t
-                continue
-            tin[v] = t
-            t += 1
-            stack.append((v, True))
-            for c in children[v]:
-                stack.append((c, False))
-        self._tin = tin
-        self._tout = tout
-
-    def on_orbit(self, target: SpinConfig, start: SpinConfig) -> bool:
-        return self._tin[target] <= self._tin[start] < self._tout[target]
-
-
 def verify_lrpm(
     g: PreisachGraph, mu: SpinConfig | None = None, nu: SpinConfig | None = None
 ) -> bool:
-    """check_lrpm of (mu, nu), default (alpha, omega), evaluated against the
-    built graph: orbit membership becomes an O(1) ancestor test in the two
-    successor forests.  Same definition and result as check_lrpm; the tests
-    cross-validate the two on small graphs."""
+    """Loop return-point memory of (mu, nu), default (alpha, omega), in the
+    built graph: true iff every pair the major sub-cycle walk reaches from
+    (mu, nu) is a cycle.
+
+    No separate absorption test is needed.  For a reached pair (m, v), each
+    U-boundary state u lies on the U-orbit of m by construction, so "u
+    returns to m under D" is exactly the cycle condition of the child
+    (m, u); likewise "w returns to v under U", for a D-boundary state w, is
+    the cycle condition of the child (w, v).  The walk reaches every child,
+    so "every reached pair is a cycle" is "every reached pair is an
+    absorbing cycle", the recursive definition check_lrpm evaluates.
+
+    The U-orbits of the graph must end at omega and its D-orbits at alpha,
+    as in every graph from build_bfs, build_forward and load_json; along an
+    orbit that cycles the walk would not stop.
+    """
     mu = g.alpha if mu is None else mu
     nu = g.omega if nu is None else nu
-    dfor = _OrbitForest(g.d_next, g.alpha, g.vertices)
-    ufor = _OrbitForest(g.u_next, g.omega, g.vertices)
-    u_step, d_step = _dict_steppers(g.u_next, g.d_next)
-    memo: dict[tuple[SpinConfig, SpinConfig], bool] = {}
-
-    def has_lrpm(m: SpinConfig, v: SpinConfig) -> bool:
-        key = (m, v)
-        if key in memo:
-            return memo[key]
-        memo[key] = True
-        if not (ufor.on_orbit(v, m) and dfor.on_orbit(m, v)):
-            memo[key] = False
-            return False
-        ub = _chain(u_step, m, v)
-        db = _chain(d_step, v, m)
-        assert ub is not None and db is not None
-        absorbed = all(dfor.on_orbit(m, u) for u in ub) and all(
-            ufor.on_orbit(v, w) for w in db
-        )
-        if not absorbed:
-            memo[key] = False
-            return False
-        ok = all(has_lrpm(m, u) for u in ub) and all(has_lrpm(w, v) for w in db)
-        memo[key] = ok
-        return ok
-
     if mu not in g.vertices or nu not in g.vertices:
         raise ValueError("not a vertex")
-    return has_lrpm(mu, nu)
+    return _subcycle_walk(*_dict_steppers(g.u_next, g.d_next), mu, nu) is not None
 
 
 def decompose(

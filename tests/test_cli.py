@@ -223,6 +223,18 @@ def test_cli_verify_output(capsys):
     assert "nesting_of_graph=2" in out
 
 
+def _with_unreachable_vertex() -> str:
+    # the (2,3,1) export plus -+-, which is closed under its own two true
+    # transitions but not reachable from alpha
+    payload = json.loads(export_json(build_bfs(RHO231)))
+    payload["vertices"].append("-+-")
+    payload["edges"] += [
+        {"from": "-+-", "to": "++-", "kind": "U", "label": 1},
+        {"from": "-+-", "to": "---", "kind": "D", "label": 2},
+    ]
+    return json.dumps(payload)
+
+
 @pytest.mark.parametrize(
     "text, match",
     [
@@ -266,6 +278,33 @@ def test_cli_verify_output(capsys):
             '"edges":[{"from":"++","to":"-+","kind":"D","label":1}]}',
             "not the D-transition",
         ),
+        ('{"n":1,"perm":[1],"vertices":["-","+","-"],"edges":[]}', "listed twice"),
+        ('{"n":1,"perm":[1],"vertices":[],"edges":[]}', "alpha or omega"),
+        ('{"n":1,"perm":[1],"vertices":["-","+"],"edges":[]}', "lack a U-edge"),
+        (
+            '{"n":1,"perm":[1],"vertices":["-","+"],'
+            '"edges":[{"from":"-","to":"+","kind":"U","label":1}]}',
+            "lack a D-edge",
+        ),
+        (_with_unreachable_vertex(), "6 vertices listed, perm has 5"),
+        (
+            '{"n":true,"perm":[1],"vertices":["-","+"],'
+            '"edges":[{"from":"-","to":"+","kind":"U","label":1},'
+            '{"from":"+","to":"-","kind":"D","label":1}]}',
+            "inconsistent n: True",
+        ),
+        (
+            '{"n":1,"perm":[1],"vertices":["-","+"],'
+            '"edges":[{"from":"-","to":"+","kind":"U","label":true},'
+            '{"from":"+","to":"-","kind":"D","label":1}]}',
+            "label True outside",
+        ),
+        (
+            '{"n":1,"perm":[true],"vertices":["-","+"],'
+            '"edges":[{"from":"-","to":"+","kind":"U","label":1},'
+            '{"from":"+","to":"-","kind":"D","label":1}]}',
+            "non-integer value True",
+        ),
     ],
     ids=[
         "top-level-list",
@@ -279,6 +318,14 @@ def test_cli_verify_output(capsys):
         "wrong-direction",
         "u-edge-not-i-plus",
         "d-edge-not-i-minus",
+        "repeated-vertex",
+        "no-vertices",
+        "no-u-edge",
+        "no-d-edge",
+        "unreachable-vertex",
+        "boolean-n",
+        "boolean-label",
+        "boolean-perm-value",
     ],
 )
 def test_load_json_rejects_malformed_payload(text, match):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import permutations
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from preisach import (
     Cycle,
     EdgeKind,
+    LabeledEdge,
     SpinConfig,
     VertexBudgetExceeded,
     alpha,
@@ -223,8 +225,21 @@ def test_verify_lrpm_agrees_with_check_lrpm():
                     try:
                         c = cycle_of(rho, mu, nu)
                     except ValueError:
+                        assert verify_lrpm(g, mu, nu) is False
                         continue
                     assert check_lrpm(rho, c) == verify_lrpm(g, mu, nu)
+
+
+def test_verify_lrpm_rejects_forged_graph():
+    # the D-edge of ++- redirected from +-- to ---: (alpha, omega) is still
+    # a cycle, but its reached sub-cycle (+--, ++-) is not: D from ++- now
+    # skips +--
+    g = build_bfs(RHO231)
+    src = cfg(1, 1, -1)
+    assert g.d_next[src].dst == cfg(1, -1, -1)
+    d_next = dict(g.d_next)
+    d_next[src] = LabeledEdge(src, alpha(3), EdgeKind.D, 2)
+    assert verify_lrpm(replace(g, d_next=d_next)) is False
 
 
 def test_loop_vertices_examples():
