@@ -15,8 +15,13 @@ checks this exhaustively for small sizes.
 
 Cycles, absorption, loop return-point memory and loops follow the orbit
 definitions directly.  `build_forward`, `loop_vertices` and `verify_lrpm`
-share one walk over the major sub-cycles of a pair; `check_lrpm` stays the
-literal recursive definition the tests cross-validate `verify_lrpm` against.
+share one walk over the major sub-cycles of a pair.  The pairs it reaches
+with one lower end lie along that end's U-orbit, and those with one upper
+end along its D-orbit, so it records each orbit once and visits each state
+on it once.  `build_forward` and `verify_lrpm` run the walk on ints (vertex
+masks, vertex numbers), `loop_vertices` on spin configurations with the
+maps themselves.  `check_lrpm` stays the literal recursive definition the
+tests cross-validate `verify_lrpm` against.
 """
 
 from __future__ import annotations
@@ -156,20 +161,6 @@ def _map_steppers(rho: Permutation) -> tuple[Stepper, Stepper]:
     return u_step, d_step
 
 
-def _dict_steppers(
-    u_next: dict[SpinConfig, LabeledEdge], d_next: dict[SpinConfig, LabeledEdge]
-) -> tuple[Stepper, Stepper]:
-    def u_step(s: SpinConfig):
-        e = u_next.get(s)
-        return None if e is None else (e.dst, e.label)
-
-    def d_step(s: SpinConfig):
-        e = d_next.get(s)
-        return None if e is None else (e.dst, e.label)
-
-    return u_step, d_step
-
-
 def _chain(step: Stepper, start: SpinConfig, target: SpinConfig) -> list[SpinConfig] | None:
     """The orbit segment from start up to and including target, or None if the
     orbit hits its fixed point without reaching target."""
@@ -244,49 +235,67 @@ def build_forward(rho: Permutation, max_vertices: int = DEFAULT_MAX_VERTICES) ->
     flipped to +1, keeping edge labels; one U-edge and one D-edge labeled m
     join the two parts.  No vertex outside the duplicated loop is touched.
 
-    Returns a graph equal to build_bfs(rho).
+    The graph grows on int masks, bit i-1 set meaning spin i is up, so the
+    copy of v is v | 1 << (m-1) and an edge's label is the one bit of
+    src ^ dst; the SpinConfig and LabeledEdge objects are built once, at
+    return.  Returns a graph equal to build_bfs(rho).
     """
     if max_vertices < 2:
         raise VertexBudgetExceeded(
             f"vertex budget exceeded: graph needs more than {max_vertices} vertices"
         )
-    start = alpha(rho.n)
-    top = start.flipped(1)
-    vertices = {start, top}
-    u_next = {start: LabeledEdge(start, top, EdgeKind.U, 1)}
-    d_next = {top: LabeledEdge(top, start, EdgeKind.D, 1)}
-    u_step, d_step = _dict_steppers(u_next, d_next)
+    # every vertex but the current top has a U-edge, so |V| = len(u_next) + 1
+    u_next = {0: 1}
+    d_next = {1: 0}
+    top = 1
 
     for m in range(2, rho.n + 1):
         k = sum(1 for v in rho.values[: rho.position_of(m)] if v <= m)
         bottom = top
         for _ in range(k - 1):
-            bottom = d_next[bottom].dst
-        loop = _loop_union(u_step, d_step, bottom, top)
-        if len(vertices) + len(loop) > max_vertices:
+            bottom = d_next[bottom]
+        loop = _loop_union(u_next.get, d_next.get, bottom, top)
+        if len(u_next) + 1 + len(loop) > max_vertices:
             raise VertexBudgetExceeded(
                 f"vertex budget exceeded: graph needs more than {max_vertices} vertices"
             )
 
-        copy = {v: v.flipped(m) for v in loop}
-        vertices.update(copy.values())
-        for v, src in copy.items():
+        bit = 1 << (m - 1)
+        for v in loop:
             if v != top:
-                e = u_next[v]
-                if e.dst not in copy:
+                dst = u_next[v]
+                if dst not in loop:
                     raise RuntimeError("loop not closed under U")
-                u_next[src] = LabeledEdge(src, copy[e.dst], EdgeKind.U, e.label)
+                u_next[v | bit] = dst | bit
             if v != bottom:
-                e = d_next[v]
-                if e.dst not in copy:
+                dst = d_next[v]
+                if dst not in loop:
                     raise RuntimeError("loop not closed under D")
-                d_next[src] = LabeledEdge(src, copy[e.dst], EdgeKind.D, e.label)
+                d_next[v | bit] = dst | bit
 
-        u_next[top] = LabeledEdge(top, copy[top], EdgeKind.U, m)
-        d_next[copy[bottom]] = LabeledEdge(copy[bottom], bottom, EdgeKind.D, m)
-        top = copy[top]
+        u_next[top] = top | bit
+        d_next[bottom | bit] = bottom
+        top |= bit
 
-    return PreisachGraph(rho, frozenset(vertices), u_next, d_next, start, top)
+    bits = [1 << i for i in range(rho.n)]
+    config = {
+        v: SpinConfig(tuple([1 if v & b else -1 for b in bits])) for v in (*u_next, top)
+    }
+
+    def edges(succ: dict[int, int], kind: EdgeKind) -> dict[SpinConfig, LabeledEdge]:
+        return {
+            config[s]: LabeledEdge(config[s], config[t], kind, (s ^ t).bit_length())
+            for s, t in succ.items()
+        }
+
+    return PreisachGraph(
+        rho,
+        frozenset(config.values()),
+        edges(u_next, EdgeKind.U),
+        edges(d_next, EdgeKind.D),
+        config[0],
+        config[top],
+    )
 
 
 def u_orbit(rho: Permutation, sigma: SpinConfig) -> list[SpinConfig]:
@@ -369,38 +378,83 @@ def check_lrpm(rho: Permutation, c: Cycle) -> bool:
     return has_lrpm(c.mu, c.nu)
 
 
-def _subcycle_walk(
-    u_step: Stepper, d_step: Stepper, mu: SpinConfig, nu: SpinConfig
-) -> set[SpinConfig] | None:
+class _Orbit:
+    """An orbit recorded as far as the walk has stepped it: its states in
+    order and how many of them have been pushed."""
+
+    __slots__ = ("states", "pushed")
+
+    def __init__(self, start) -> None:
+        self.states = [start]
+        self.pushed = 0
+
+    def position(self, succ: Callable, target) -> int | None:
+        """The index of target on the orbit, stepping succ only past the
+        recorded part; None if the orbit ends or cycles before target."""
+        states = self.states
+        if target in states:
+            return states.index(target)
+        cur = states[-1]
+        while (cur := succ(cur)) is not None and cur not in states:
+            states.append(cur)
+            if cur == target:
+                return len(states) - 1
+        return None
+
+
+def _subcycle_walk(u_succ: Callable, d_succ: Callable, mu, nu) -> set | None:
     """Walk the major sub-cycles of (mu, nu): from a reached pair (m, v) on
     to (m, u) for each state u of its U-boundary and (w, v) for each state w
     of its D-boundary.  Returns the union of the boundary states, or None as
-    soon as a reached pair is not a cycle."""
-    seen: set[tuple[SpinConfig, SpinConfig]] = set()
-    verts: set[SpinConfig] = set()
+    soon as a reached pair is not a cycle.
+
+    u_succ and d_succ map a state to its successor, or to None at a fixed
+    point; states are any hashable values.  The U-boundary of (m, v) is the
+    prefix of m's U-orbit ending at v, so the pairs reached with lower end m
+    are (m, U^i m) for i up to some bound, and likewise those with upper end
+    v are (D^j v, v).  Each orbit is therefore recorded once, and a popped
+    pair adds states and pushes children only beyond the furthest index
+    already pushed on its two orbits.  Every orbit state is stepped, added
+    and pushed once, so the walk makes O(reached pairs) steps and pushes,
+    not O(pairs x boundary length).  A pop finds its two targets by
+    scanning their orbits' records, which for the maps hold at most n+1
+    states, as each step changes the +1 count by one; an index dict per
+    orbit would double the walk's memory.  A state met twice on one orbit
+    means the orbit cycles and never reaches its target, so that pair is
+    not a cycle either.
+    """
+    u_orbits: dict = {}
+    d_orbits: dict = {}
+    verts: set = set()
     stack = [(mu, nu)]
     while stack:
-        pair = stack.pop()
-        if pair in seen:
-            continue
-        seen.add(pair)
-        m, v = pair
-        ub = _chain(u_step, m, v)
-        db = _chain(d_step, v, m)
-        if ub is None or db is None:
+        m, v = stack.pop()
+        up = u_orbits.get(m)
+        if up is None:
+            up = u_orbits[m] = _Orbit(m)
+        down = d_orbits.get(v)
+        if down is None:
+            down = d_orbits[v] = _Orbit(v)
+        i = up.position(u_succ, v)
+        j = None if i is None else down.position(d_succ, m)
+        if j is None:
             return None
-        verts.update(ub)
-        verts.update(db)
-        stack.extend((m, u) for u in ub)
-        stack.extend((w, v) for w in db)
+        if i >= up.pushed:
+            new = up.states[up.pushed : i + 1]
+            up.pushed = i + 1
+            verts.update(new)
+            stack += [(m, u) for u in new]
+        if j >= down.pushed:
+            new = down.states[down.pushed : j + 1]
+            down.pushed = j + 1
+            verts.update(new)
+            stack += [(w, v) for w in new]
     return verts
 
 
-def _loop_union(
-    u_step: Stepper, d_step: Stepper, mu: SpinConfig, nu: SpinConfig
-) -> set[SpinConfig]:
+def _loop_union(u_succ: Callable, d_succ: Callable, mu, nu) -> set:
     """The union of the boundary states of the major sub-cycles of (mu, nu)."""
-    verts = _subcycle_walk(u_step, d_step, mu, nu)
+    verts = _subcycle_walk(u_succ, d_succ, mu, nu)
     if verts is None:
         raise RuntimeError("cycle structure violated inside a loop")
     return verts
@@ -412,7 +466,12 @@ def loop_vertices(rho: Permutation, c: Cycle) -> set[SpinConfig]:
     if not check_absorption(rho, c):
         raise ValueError("not absorbing")
     u_step, d_step = _map_steppers(rho)
-    return _loop_union(u_step, d_step, c.mu, c.nu)
+    return _loop_union(
+        lambda s: None if (t := u_step(s)) is None else t[0],
+        lambda s: None if (t := d_step(s)) is None else t[0],
+        c.mu,
+        c.nu,
+    )
 
 
 def verify_lrpm(
@@ -430,15 +489,24 @@ def verify_lrpm(
     so "every reached pair is a cycle" is "every reached pair is an
     absorbing cycle", the recursive definition check_lrpm evaluates.
 
-    The U-orbits of the graph must end at omega and its D-orbits at alpha,
-    as in every graph from build_bfs, build_forward and load_json; along an
-    orbit that cycles the walk would not stop.
+    The vertices are numbered once and the walk runs on the numbers,
+    visiting each state of each orbit it records once (see _subcycle_walk).
+    An orbit that cycles never reaches its target, and an edge into a state
+    outside g.vertices ends its orbit, so a pair that needs either is not a
+    cycle and the result is False.
     """
     mu = g.alpha if mu is None else mu
     nu = g.omega if nu is None else nu
     if mu not in g.vertices or nu not in g.vertices:
         raise ValueError("not a vertex")
-    return _subcycle_walk(*_dict_steppers(g.u_next, g.d_next), mu, nu) is not None
+    number = {v: i for i, v in enumerate(g.vertices)}
+
+    def successors(edges: dict[SpinConfig, LabeledEdge]) -> list[int | None]:
+        return [None if (e := edges.get(v)) is None else number.get(e.dst) for v in number]
+
+    u_succ = successors(g.u_next).__getitem__
+    d_succ = successors(g.d_next).__getitem__
+    return _subcycle_walk(u_succ, d_succ, number[mu], number[nu]) is not None
 
 
 def decompose(

@@ -1,7 +1,12 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +36,7 @@ from preisach import (
     u_orbit,
     verify_lrpm,
 )
+from preisach.cli import random_permutation
 from strategies import permutations_st
 
 RHO231 = make_permutation([2, 3, 1])
@@ -135,6 +141,15 @@ def test_build_forward_matches_bfs_random(rho):
     assert build_forward(rho) == build_bfs(rho)
 
 
+@pytest.mark.parametrize("index", range(6))
+def test_build_forward_matches_bfs_wide(index):
+    # 22-spin masks, well past the hypothesis test's n <= 12
+    rho = random_permutation(22, 0, index)
+    g = build_bfs(rho)
+    assert build_forward(rho) == g
+    assert verify_lrpm(g)
+
+
 @given(permutations_st())
 def test_edge_count_and_labels(rho):
     g = build_bfs(rho)
@@ -216,7 +231,7 @@ def test_check_lrpm_examples():
 
 
 def test_verify_lrpm_agrees_with_check_lrpm():
-    for n in range(1, 5):
+    for n in range(1, 6):
         for values in permutations(range(1, n + 1)):
             rho = make_permutation(values)
             g = build_bfs(rho)
@@ -242,6 +257,98 @@ def test_verify_lrpm_rejects_forged_graph():
     assert verify_lrpm(replace(g, d_next=d_next)) is False
 
 
+def test_verify_lrpm_on_every_single_edge_forgery():
+    # each edge redirected to a vertex with more (U) or fewer (D) +1 spins
+    # than its source, so no orbit cycles (that case runs in a child process
+    # below); the oracle is the recursive definition on the graph's own
+    # edges: every pair reached through the boundaries of (alpha, omega) is
+    # a cycle
+    def chain(edges, start, target):
+        out = [start]
+        while out[-1] != target:
+            e = edges.get(out[-1])
+            if e is None:
+                return None
+            out.append(e.dst)
+        return out
+
+    def lrpm(g):
+        seen = set()
+
+        def ok(m, v):
+            if (m, v) in seen:
+                return True
+            seen.add((m, v))
+            ub = chain(g.u_next, m, v)
+            db = chain(g.d_next, v, m)
+            return (
+                ub is not None
+                and db is not None
+                and all(ok(m, u) for u in ub)
+                and all(ok(w, v) for w in db)
+            )
+
+        return ok(g.alpha, g.omega)
+
+    outcomes = set()
+    for n in range(1, 5):
+        for values in permutations(range(1, n + 1)):
+            g = build_bfs(make_permutation(values))
+            for field, sign in (("u_next", 1), ("d_next", -1)):
+                edges = getattr(g, field)
+                for src, e in edges.items():
+                    for dst in g.vertices - {e.dst}:
+                        if sign * (dst.count_plus() - src.count_plus()) <= 0:
+                            continue
+                        forged = replace(g, **{field: {**edges, src: replace(e, dst=dst)}})
+                        got = verify_lrpm(forged)
+                        assert got == lrpm(forged), (values, field, src, dst)
+                        outcomes.add(got)
+    assert outcomes == {True, False}
+
+
+def test_verify_lrpm_rejects_edge_out_of_the_graph():
+    # the D-edge of ++- redirected to -+-, which is not a vertex: the
+    # D-orbit of omega then leaves the graph and never reaches alpha
+    g = build_bfs(RHO231)
+    src = cfg(1, 1, -1)
+    assert cfg(-1, 1, -1) not in g.vertices
+    d_next = dict(g.d_next)
+    d_next[src] = LabeledEdge(src, cfg(-1, 1, -1), EdgeKind.D, 1)
+    assert verify_lrpm(replace(g, d_next=d_next)) is False
+
+
+def test_verify_lrpm_returns_on_a_cycling_orbit():
+    # the U-edge of ++- redirected to ---: the U-orbit of alpha cycles
+    # through ---, +--, ++- and never reaches omega.  Run in a child process
+    # with a timeout and a memory cap, so a walk that does not stop fails
+    # the test instead of hanging or exhausting the machine.
+    code = textwrap.dedent(
+        """
+        import resource
+        from dataclasses import replace
+        from preisach import (
+            EdgeKind, LabeledEdge, SpinConfig, alpha, build_bfs, make_permutation,
+            verify_lrpm,
+        )
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
+        g = build_bfs(make_permutation([2, 3, 1]))
+        src = SpinConfig((1, 1, -1))
+        u_next = dict(g.u_next)
+        u_next[src] = LabeledEdge(src, alpha(3), EdgeKind.U, 3)
+        print(verify_lrpm(replace(g, u_next=u_next)))
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=30,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "False\n"
+
+
 def test_loop_vertices_examples():
     g = build_bfs(RHO231)
     assert loop_vertices(RHO231, cycle_of(RHO231, alpha(3), omega(3))) == g.vertices
@@ -251,6 +358,36 @@ def test_loop_vertices_examples():
         cfg(1, -1, -1),
         cfg(1, 1, -1),
     }
+
+
+def test_loop_vertices_matches_recursive_union():
+    # the oracle: recurse from (mu, nu) into (mu, u) for every u on the
+    # U-boundary and (w, nu) for every w on the D-boundary, as cycle_of
+    # finds them, and take the union of every boundary met
+    def recursive_union(rho, mu, nu, seen, verts):
+        if (mu, nu) in seen:
+            return
+        seen.add((mu, nu))
+        c = cycle_of(rho, mu, nu)
+        verts.update(c.u_boundary, c.d_boundary)
+        for u in c.u_boundary:
+            recursive_union(rho, mu, u, seen, verts)
+        for w in c.d_boundary:
+            recursive_union(rho, w, nu, seen, verts)
+
+    for n in range(1, 5):
+        for values in permutations(range(1, n + 1)):
+            rho = make_permutation(values)
+            g = build_bfs(rho)
+            for mu in g.vertices:
+                for nu in g.vertices:
+                    try:
+                        c = cycle_of(rho, mu, nu)
+                    except ValueError:
+                        continue
+                    expected: set[SpinConfig] = set()
+                    recursive_union(rho, mu, nu, set(), expected)
+                    assert loop_vertices(rho, c) == expected, (values, mu, nu)
 
 
 def test_loop_vertices_rejects_non_absorbing():
