@@ -10,10 +10,13 @@ increasing subsequences (the empty one included), and the subsequence length
 equals the nesting degree of the vertex: the minimal number of alternating
 blocks needed to reach it.
 
-`phi_all` labels every vertex in one pass over the shortest-path tree;
-`shortest_path` and `block_decomposition` are the path-by-path oracle route
-the tests compare it against, and `nesting_degree_oracle` a tree-free one: a
-0/1 alternation-cost search over raw map applications.
+`phi_all` labels every vertex in one breadth-first pass over the vertex
+masks of the graph's edges (`_phi_labels`); `shortest_path` and
+`block_decomposition` are the path-by-path oracle route the tests compare it
+against, and `nesting_degree_oracle` a tree-free one: a 0/1 alternation-cost
+search over raw map applications on masks (`_alternation_masks`).  The mask
+functions are what `cli.cmd_verify` calls; `phi_all` and
+`alternation_degrees` key their results by `SpinConfig`.
 """
 
 from __future__ import annotations
@@ -28,7 +31,11 @@ from .graph import (
     LabeledEdge,
     PreisachGraph,
     VertexBudgetExceeded,
+    _configs,
     _map_steppers,
+    _mask,
+    _mask_steppers,
+    _maps_of_graph,
 )
 
 __all__ = [
@@ -213,16 +220,47 @@ def phi(g: PreisachGraph, sigma: SpinConfig) -> IncreasingSubsequence:
 
 
 def phi_all(g: PreisachGraph) -> dict[SpinConfig, IncreasingSubsequence]:
-    """phi for every vertex, in one pass over the shortest-path tree, which
-    lists parents first.  An edge of the parent's tree-edge kind replaces the
-    parent's newest switch-back label; an edge of the other kind prepends one."""
-    tree = shortest_path_tree(g)
-    out = {g.alpha: IncreasingSubsequence(())}
-    for v, e in tree.items():
-        s = out[e.src].values
-        same_kind = e.src in tree and tree[e.src].kind is e.kind
-        out[v] = IncreasingSubsequence((e.label,) + (s[1:] if same_kind else s))
-    return out
+    """phi for every vertex, labelled on the vertex masks of g's edges (see
+    _phi_labels); an edge's label is read as the spin it flips."""
+    config, u_next, d_next = _maps_of_graph(g)
+    labels = _phi_labels(_mask(g.alpha), u_next, d_next)
+    return {config[m]: IncreasingSubsequence(s) for m, s in labels.items()}
+
+
+def _phi_labels(
+    start: int, u_next: dict[int, int], d_next: dict[int, int]
+) -> dict[int, tuple[int, ...]]:
+    """phi of every mask reachable from start in mask successor maps, in one
+    breadth-first pass that explores U before D from each vertex: a vertex's
+    tree parent is the vertex that first reaches it.  An edge of the
+    parent's tree-edge kind replaces the parent's newest switch-back label;
+    an edge of the other kind prepends one.  The label is the flipped bit.
+
+    Raises UniquenessViolation if some vertex is reached by two distinct
+    parents at the same depth.
+    """
+    labels: dict[int, tuple[int, ...]] = {start: ()}
+    depth = {start: 0}
+    kind = {start: None}
+    queue = deque([start])
+    while queue:
+        v = queue.popleft()
+        d = depth[v] + 1
+        s = labels[v]
+        for k, succ in ((EdgeKind.U, u_next), (EdgeKind.D, d_next)):
+            t = succ.get(v)
+            if t is None:
+                continue
+            if t not in depth:
+                depth[t] = d
+                kind[t] = k
+                labels[t] = ((v ^ t).bit_length(),) + (s[1:] if kind[v] is k else s)
+                queue.append(t)
+            elif depth[t] == d:
+                raise UniquenessViolation(
+                    f"uniqueness violated: two shortest paths reach mask {t:#b}"
+                )
+    return labels
 
 
 def phi_inverse(g: PreisachGraph, s: IncreasingSubsequence) -> SpinConfig:
@@ -281,47 +319,57 @@ def nesting_of_graph(g: PreisachGraph) -> int:
 def alternation_degrees(
     rho: Permutation, max_vertices: int = DEFAULT_MAX_VERTICES
 ) -> dict[SpinConfig, int]:
-    """Minimal alternating-block count for every reachable configuration,
-    found by a deque-based 0/1 search over raw map applications.
+    """Minimal alternating-block count for every reachable configuration
+    (see _alternation_masks)."""
+    degrees = _alternation_masks(rho, max_vertices)
+    config = _configs(degrees, rho.n)
+    return {config[m]: d for m, d in degrees.items()}
 
-    Extending the current run costs nothing, switching direction (or opening
-    the first run) costs one block.  Independent of the graph builders and of
-    the shortest-path machinery.
+
+def _alternation_masks(
+    rho: Permutation, max_vertices: int = DEFAULT_MAX_VERTICES
+) -> dict[int, int]:
+    """Minimal alternating-block count for every configuration reachable
+    from alpha, keyed by vertex mask, found by a deque-based 0/1 search over
+    raw map applications.
+
+    Extending the current run costs nothing, switching direction costs one
+    block.  alpha is entered as if by a D-step: it has no D-successor, so
+    its first U-step opens the first block at cost one.  Independent of the
+    graph builders and of the shortest-path machinery.
     """
-    start = alpha(rho.n)
-    u_step, d_step = _map_steppers(rho)
-    # state: (config, kind of last step), kind in {-1: none yet, 0: up, 1: down}
-    dist: dict[tuple[SpinConfig, int], int] = {(start, -1): 0}
-    seen = {start}
-    dq: deque[tuple[int, SpinConfig, int]] = deque([(0, start, -1)])
+    u_step, d_step = _mask_steppers(rho)
+    # search state: mask << 1 | kind of the step into it, 0 up and 1 down
+    dist = {1: 0}
+    seen = {0}
+    dq: deque[tuple[int, int, int]] = deque([(0, 0, 1)])
     while dq:
-        d, sigma, last = dq.popleft()
-        if d > dist[(sigma, last)]:
+        d, m, last = dq.popleft()
+        if d > dist[m << 1 | last]:
             continue
         for kind, step in ((0, u_step), (1, d_step)):
-            nxt = step(sigma)
-            if nxt is None:
+            t = step(m)
+            if t is None:
                 continue
-            t = nxt[0]
             if t not in seen:
                 if len(seen) + 1 > max_vertices:
                     raise VertexBudgetExceeded(
                         f"vertex budget exceeded: more than {max_vertices} configurations"
                     )
                 seen.add(t)
-            cost = 0 if kind == last else 1
-            nd = d + cost
-            key = (t, kind)
+            nd = d + (kind != last)
+            key = t << 1 | kind
             if nd < dist.get(key, nd + 1):
                 dist[key] = nd
-                if cost:
-                    dq.append((nd, t, kind))
-                else:
+                if nd == d:
                     dq.appendleft((nd, t, kind))
-    best: dict[SpinConfig, int] = {}
-    for (sigma, _), d in dist.items():
-        if sigma not in best or d < best[sigma]:
-            best[sigma] = d
+                else:
+                    dq.append((nd, t, kind))
+    best: dict[int, int] = {}
+    for key, d in dist.items():
+        m = key >> 1
+        if d < best.get(m, d + 1):
+            best[m] = d
     return best
 
 

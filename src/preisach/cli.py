@@ -1,6 +1,6 @@
 """Command-line front end: parsing, graph export, theorem checks, statistics.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
+Exit codes: 0 success, 1 verification failure, 2 usage, parse or output error,
 3 vertex/item budget exceeded.
 """
 
@@ -15,11 +15,11 @@ from itertools import permutations as all_permutations
 from statistics import pstdev
 
 from .bijection import (
-    alternation_degrees,
+    _alternation_masks,
+    _phi_labels,
     nesting_degree,
     nesting_of_graph,
     phi,
-    phi_all,
     phi_inverse,
 )
 from .core import Permutation, SpinConfig, alpha, make_permutation, omega
@@ -29,11 +29,12 @@ from .graph import (
     LabeledEdge,
     PreisachGraph,
     VertexBudgetExceeded,
+    _bfs_maps,
+    _forward_maps,
+    _subcycle_walk,
     build_bfs,
-    build_forward,
     merge_identity_bottom,
     merge_identity_top,
-    verify_lrpm,
 )
 from .oracles import ItemBudgetExceeded, count_increasing, enumerate_increasing, lis_patience
 
@@ -227,36 +228,41 @@ def cmd_verify(rho: Permutation, max_vertices: int = DEFAULT_MAX_VERTICES) -> Ve
     builder equality, vertex count = subsequence count, bijectivity of phi
     with each length equal to the tree-free minimal alternation count, graph
     nesting = LIS length, loop return-point memory of (alpha, omega), and
-    both merge identities."""
+    both merge identities.
+
+    Every check runs on the builders' mask successor maps (bit i-1 of a
+    vertex mask set meaning spin i is up); no graph object is built."""
     t0 = time.perf_counter()
-    g = build_bfs(rho, max_vertices)
-    g_fwd = build_forward(rho, max_vertices)
-    builders_agree = g == g_fwd
+    u_next, d_next = _bfs_maps(rho, max_vertices)
+    u_fwd, d_fwd = _forward_maps(rho, max_vertices)
+    builders_agree = u_next == u_fwd and d_next == d_fwd
+    # every vertex but omega has a U-edge
+    vertex_count = len(u_next) + 1
 
     count = count_increasing(rho)
-    cardinality_ok = len(g.vertices) == count
+    cardinality_ok = vertex_count == count
 
-    images = phi_all(g)
+    images = _phi_labels(0, u_next, d_next)
     expected = enumerate_increasing(rho, max_items=max(count, 1)).value_tuples()
-    got = {s.values for s in images.values()}
+    got = set(images.values())
     bijection_ok = (
-        len(got) == len(g.vertices)
+        len(got) == vertex_count
         and got == expected
-        and {v: len(s) for v, s in images.items()}
-        == alternation_degrees(rho, max_vertices)
+        and {m: len(s) for m, s in images.items()}
+        == _alternation_masks(rho, max_vertices)
     )
 
     nesting = max(map(len, images.values()))
     lis = lis_patience(rho)
     nesting_ok = nesting == lis
 
-    lrpm_ok = verify_lrpm(g)
+    lrpm_ok = _subcycle_walk(u_next.get, d_next.get, 0, (1 << rho.n) - 1) is not None
     merge_ok = merge_identity_top(rho) and merge_identity_bottom(rho)
 
     return VerifyReport(
         perm=rho,
-        vertex_count=len(g.vertices),
-        edge_count=g.edge_count,
+        vertex_count=vertex_count,
+        edge_count=len(u_next) + len(d_next),
         builders_agree=builders_agree,
         cardinality_ok=cardinality_ok,
         bijection_ok=bijection_ok,
@@ -354,9 +360,12 @@ def cmd_stats(
 ) -> StatsReport:
     """Sample permutations, report the LIS mean and population stddev, and,
     for every sample whose graph fits the vertex budget (decided exactly via
-    count_increasing before building), confirm graph nesting = LIS."""
+    count_increasing before building), confirm graph nesting = LIS.  A
+    budget below 1 raises VertexBudgetExceeded, as the builders do."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    if max_vertices < 1:
+        raise VertexBudgetExceeded("vertex budget exceeded: budget is empty")
     lis_values = []
     checked = 0
     for index in range(samples):
@@ -588,7 +597,7 @@ def main(argv: list[str] | None = None) -> int:
     except (VertexBudgetExceeded, ItemBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

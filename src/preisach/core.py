@@ -107,6 +107,14 @@ class SpinConfig:
         if any(s != 1 and s != -1 for s in self.spins):
             raise ValueError("spins must be -1 or +1")
 
+    @classmethod
+    def _unchecked(cls, spins: tuple[int, ...]) -> SpinConfig:
+        """A configuration of spins the caller knows to be valid, built
+        without __post_init__'s scan."""
+        sigma = object.__new__(cls)
+        object.__setattr__(sigma, "spins", spins)
+        return sigma
+
     @property
     def n(self) -> int:
         return len(self.spins)
@@ -117,7 +125,7 @@ class SpinConfig:
     def flipped(self, i: SpinIndex) -> SpinConfig:
         """The configuration with spin i (1-based) negated."""
         j = i - 1
-        return SpinConfig(self.spins[:j] + (-self.spins[j],) + self.spins[j + 1 :])
+        return SpinConfig._unchecked(self.spins[:j] + (-self.spins[j],) + self.spins[j + 1 :])
 
 
 def alpha(n: int) -> SpinConfig:

@@ -13,15 +13,23 @@ sub-loop hanging below the top vertex, joined by one U-edge and one D-edge
 labeled m+1.  The two results are equal as labeled graphs; the test suite
 checks this exhaustively for small sizes.
 
+Both builders run on vertex masks, bit i-1 set meaning spin i is up: U is
+m | (m + 1), D clears the first set bit in scan order, and an edge's label
+is the one bit of src ^ dst.  `_bfs_maps` and `_forward_maps` return the U-
+and D-successor maps as dicts of masks, which `cli.cmd_verify` checks
+directly; `build_bfs` and `build_forward` turn them into a `PreisachGraph`
+of `SpinConfig` and `LabeledEdge` objects through one view,
+`_graph_of_maps`, and `_maps_of_graph` reads a graph back into masks.
+
 Cycles, absorption, loop return-point memory and loops follow the orbit
 definitions directly.  `build_forward`, `loop_vertices` and `verify_lrpm`
 share one walk over the major sub-cycles of a pair.  The pairs it reaches
 with one lower end lie along that end's U-orbit, and those with one upper
 end along its D-orbit, so it records each orbit once and visits each state
-on it once.  `build_forward` and `verify_lrpm` run the walk on ints (vertex
-masks, vertex numbers), `loop_vertices` on spin configurations with the
-maps themselves.  `check_lrpm` stays the literal recursive definition the
-tests cross-validate `verify_lrpm` against.
+on it once.  `build_forward` and `verify_lrpm` run the walk on masks,
+`loop_vertices` on spin configurations with the maps themselves.
+`check_lrpm` stays the literal recursive definition the tests
+cross-validate `verify_lrpm` against.
 """
 
 from __future__ import annotations
@@ -31,17 +39,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import (
-    Permutation,
-    SpinConfig,
-    SpinIndex,
-    alpha,
-    apply_D,
-    apply_U,
-    i_minus,
-    i_plus,
-    omega,
-)
+from .core import Permutation, SpinConfig, SpinIndex, i_minus, i_plus
 
 __all__ = [
     "DEFAULT_MAX_VERTICES",
@@ -147,6 +145,8 @@ def canonical_key(sigma: SpinConfig) -> tuple[int, tuple[int, ...]]:
 
 # A stepper returns (successor, flipped spin) or None at a fixed point.
 Stepper = Callable[[SpinConfig], "tuple[SpinConfig, SpinIndex] | None"]
+# A mask stepper returns the successor mask, or None at a fixed point.
+MaskStep = Callable[[int], "int | None"]
 
 
 def _map_steppers(rho: Permutation) -> tuple[Stepper, Stepper]:
@@ -192,54 +192,55 @@ def _charge(vertices: set, max_vertices: int) -> None:
         )
 
 
-def build_bfs(rho: Permutation, max_vertices: int = DEFAULT_MAX_VERTICES) -> PreisachGraph:
-    """Close {alpha} under the two maps, recording every non-fixed-point
-    transition as a labeled edge.  From each dequeued vertex the U-successor
-    is explored before the D-successor."""
-    start = alpha(rho.n)
+def _mask_steppers(rho: Permutation) -> tuple[MaskStep, MaskStep]:
+    """U and D on vertex masks, bit i-1 set meaning spin i is up.  Each
+    returns None at its fixed point: omega for U, alpha for D."""
+    full = (1 << rho.n) - 1
+    scan = [1 << (v - 1) for v in rho.values]
+
+    def u_step(m: int) -> int | None:
+        # m + 1 carries through the up spins below the lowest down one
+        return None if m == full else m | (m + 1)
+
+    def d_step(m: int) -> int | None:
+        for b in scan:
+            if m & b:
+                return m ^ b
+        return None
+
+    return u_step, d_step
+
+
+def _bfs_maps(
+    rho: Permutation, max_vertices: int = DEFAULT_MAX_VERTICES
+) -> tuple[dict[int, int], dict[int, int]]:
+    """build_bfs on vertex masks: the U- and D-successor maps of the closure
+    of alpha (mask 0), U explored before D from each dequeued vertex."""
     if max_vertices < 1:
         raise VertexBudgetExceeded("vertex budget exceeded: budget is empty")
-    vertices = {start}
-    u_next: dict[SpinConfig, LabeledEdge] = {}
-    d_next: dict[SpinConfig, LabeledEdge] = {}
-    queue = deque([start])
+    u_step, d_step = _mask_steppers(rho)
+    u_next: dict[int, int] = {}
+    d_next: dict[int, int] = {}
+    vertices = {0}
+    queue = deque([0])
     while queue:
         v = queue.popleft()
-        i = i_plus(v)
-        if i is not None:
-            t = v.flipped(i)
-            u_next[v] = LabeledEdge(v, t, EdgeKind.U, i)
+        for step, succ in ((u_step, u_next), (d_step, d_next)):
+            t = step(v)
+            if t is None:
+                continue
+            succ[v] = t
             if t not in vertices:
                 _charge(vertices, max_vertices)
                 vertices.add(t)
                 queue.append(t)
-        i = i_minus(v, rho)
-        if i is not None:
-            t = v.flipped(i)
-            d_next[v] = LabeledEdge(v, t, EdgeKind.D, i)
-            if t not in vertices:
-                _charge(vertices, max_vertices)
-                vertices.add(t)
-                queue.append(t)
-    return PreisachGraph(rho, frozenset(vertices), u_next, d_next, start, omega(rho.n))
+    return u_next, d_next
 
 
-def build_forward(rho: Permutation, max_vertices: int = DEFAULT_MAX_VERTICES) -> PreisachGraph:
-    """Grow the graph value by value instead of closing under the maps.
-
-    Every vertex carries all n spins from the start, a spin not yet added
-    being -1, so the graph of the entries <= m-1 already is the part of the
-    graph of the entries <= m with spin m down.  Step m (2 <= m <= n) grows
-    it in place: the loop between D^{k-1}(top) and the top vertex, k being
-    the position of m among the entries <= m, is duplicated with spin m
-    flipped to +1, keeping edge labels; one U-edge and one D-edge labeled m
-    join the two parts.  No vertex outside the duplicated loop is touched.
-
-    The graph grows on int masks, bit i-1 set meaning spin i is up, so the
-    copy of v is v | 1 << (m-1) and an edge's label is the one bit of
-    src ^ dst; the SpinConfig and LabeledEdge objects are built once, at
-    return.  Returns a graph equal to build_bfs(rho).
-    """
+def _forward_maps(
+    rho: Permutation, max_vertices: int = DEFAULT_MAX_VERTICES
+) -> tuple[dict[int, int], dict[int, int]]:
+    """build_forward on vertex masks: the U- and D-successor maps."""
     if max_vertices < 2:
         raise VertexBudgetExceeded(
             f"vertex budget exceeded: graph needs more than {max_vertices} vertices"
@@ -276,11 +277,31 @@ def build_forward(rho: Permutation, max_vertices: int = DEFAULT_MAX_VERTICES) ->
         u_next[top] = top | bit
         d_next[bottom | bit] = bottom
         top |= bit
+    return u_next, d_next
 
-    bits = [1 << i for i in range(rho.n)]
-    config = {
-        v: SpinConfig(tuple([1 if v & b else -1 for b in bits])) for v in (*u_next, top)
+
+def _configs(masks, n: int) -> dict[int, SpinConfig]:
+    """The configuration of each vertex mask, on n spins."""
+    bits = [1 << i for i in range(n)]
+    return {
+        m: SpinConfig._unchecked(tuple([1 if m & b else -1 for b in bits])) for m in masks
     }
+
+
+def _mask(sigma: SpinConfig) -> int:
+    """The vertex mask of sigma: bit i-1 set iff spin i is up."""
+    return sum(1 << i for i, s in enumerate(sigma.spins) if s == 1)
+
+
+def _graph_of_maps(
+    rho: Permutation, u_next: dict[int, int], d_next: dict[int, int]
+) -> PreisachGraph:
+    """The PreisachGraph of mask successor maps.  Each vertex gets one
+    SpinConfig, shared by its edges; an edge's label is the one bit of
+    src ^ dst."""
+    full = (1 << rho.n) - 1
+    # every vertex but omega has a U-edge
+    config = _configs((*u_next, full), rho.n)
 
     def edges(succ: dict[int, int], kind: EdgeKind) -> dict[SpinConfig, LabeledEdge]:
         return {
@@ -294,8 +315,57 @@ def build_forward(rho: Permutation, max_vertices: int = DEFAULT_MAX_VERTICES) ->
         edges(u_next, EdgeKind.U),
         edges(d_next, EdgeKind.D),
         config[0],
-        config[top],
+        config[full],
     )
+
+
+def _maps_of_graph(
+    g: PreisachGraph,
+) -> tuple[dict[int, SpinConfig], dict[int, int], dict[int, int]]:
+    """g's edges as mask successor maps, with the configuration of every
+    mask they hold.  Only edges from g.vertices are read, so a state outside
+    g.vertices that an edge leads to has no successor."""
+    mask_of = {v: _mask(v) for v in g.vertices}
+    config = {m: v for v, m in mask_of.items()}
+
+    def succ(edges: dict[SpinConfig, LabeledEdge]) -> dict[int, int]:
+        out = {}
+        for v, m in mask_of.items():
+            e = edges.get(v)
+            if e is not None:
+                t = mask_of.get(e.dst)
+                if t is None:
+                    t = _mask(e.dst)
+                    config[t] = e.dst
+                out[m] = t
+        return out
+
+    return config, succ(g.u_next), succ(g.d_next)
+
+
+def build_bfs(rho: Permutation, max_vertices: int = DEFAULT_MAX_VERTICES) -> PreisachGraph:
+    """Close {alpha} under the two maps, recording every non-fixed-point
+    transition as a labeled edge.  From each dequeued vertex the U-successor
+    is explored before the D-successor."""
+    return _graph_of_maps(rho, *_bfs_maps(rho, max_vertices))
+
+
+def build_forward(rho: Permutation, max_vertices: int = DEFAULT_MAX_VERTICES) -> PreisachGraph:
+    """Grow the graph value by value instead of closing under the maps.
+
+    Every vertex carries all n spins from the start, a spin not yet added
+    being -1, so the graph of the entries <= m-1 already is the part of the
+    graph of the entries <= m with spin m down.  Step m (2 <= m <= n) grows
+    it in place: the loop between D^{k-1}(top) and the top vertex, k being
+    the position of m among the entries <= m, is duplicated with spin m
+    flipped to +1, keeping edge labels; one U-edge and one D-edge labeled m
+    join the two parts.  No vertex outside the duplicated loop is touched.
+
+    The graph grows on vertex masks, so the copy of v is v | 1 << (m-1);
+    the SpinConfig and LabeledEdge objects are built once, at return.
+    Returns a graph equal to build_bfs(rho).
+    """
+    return _graph_of_maps(rho, *_forward_maps(rho, max_vertices))
 
 
 def u_orbit(rho: Permutation, sigma: SpinConfig) -> list[SpinConfig]:
@@ -489,24 +559,18 @@ def verify_lrpm(
     so "every reached pair is a cycle" is "every reached pair is an
     absorbing cycle", the recursive definition check_lrpm evaluates.
 
-    The vertices are numbered once and the walk runs on the numbers,
-    visiting each state of each orbit it records once (see _subcycle_walk).
-    An orbit that cycles never reaches its target, and an edge into a state
-    outside g.vertices ends its orbit, so a pair that needs either is not a
-    cycle and the result is False.
+    The walk runs on the vertex masks of g's edges, visiting each state of
+    each orbit it records once (see _subcycle_walk).  An orbit that cycles
+    never reaches its target, and an edge into a state outside g.vertices
+    ends its orbit, so a pair that needs either is not a cycle and the
+    result is False.
     """
     mu = g.alpha if mu is None else mu
     nu = g.omega if nu is None else nu
     if mu not in g.vertices or nu not in g.vertices:
         raise ValueError("not a vertex")
-    number = {v: i for i, v in enumerate(g.vertices)}
-
-    def successors(edges: dict[SpinConfig, LabeledEdge]) -> list[int | None]:
-        return [None if (e := edges.get(v)) is None else number.get(e.dst) for v in number]
-
-    u_succ = successors(g.u_next).__getitem__
-    d_succ = successors(g.d_next).__getitem__
-    return _subcycle_walk(u_succ, d_succ, number[mu], number[nu]) is not None
+    _, u_next, d_next = _maps_of_graph(g)
+    return _subcycle_walk(u_next.get, d_next.get, _mask(mu), _mask(nu)) is not None
 
 
 def decompose(
@@ -533,18 +597,23 @@ def decompose(
     return lower, upper, (g.u_next[top], g.d_next[bottom])
 
 
-def _apply_n(f, sigma: SpinConfig, rho: Permutation, times: int) -> SpinConfig:
+def _apply_n(step: MaskStep, m: int, times: int) -> int:
+    """step applied `times` times, a fixed point mapping to itself."""
     for _ in range(times):
-        sigma = f(sigma, rho)
-    return sigma
+        t = step(m)
+        if t is None:
+            break
+        m = t
+    return m
 
 
 def merge_identity_top(rho: Permutation) -> bool:
     """D^{k-1} U^{n-1} alpha equals D^k U^n alpha, where rho_k = n."""
     n = rho.n
     k = rho.position_of(n)
-    lhs = _apply_n(apply_D, _apply_n(apply_U, alpha(n), rho, n - 1), rho, k - 1)
-    rhs = _apply_n(apply_D, _apply_n(apply_U, alpha(n), rho, n), rho, k)
+    u_step, d_step = _mask_steppers(rho)
+    lhs = _apply_n(d_step, _apply_n(u_step, 0, n - 1), k - 1)
+    rhs = _apply_n(d_step, _apply_n(u_step, 0, n), k)
     return lhs == rhs
 
 
@@ -552,6 +621,8 @@ def merge_identity_bottom(rho: Permutation) -> bool:
     """U^{q-1} D^{n-1} omega equals U^q D^n omega, where q = rho_n."""
     n = rho.n
     q = rho.values[-1]
-    lhs = _apply_n(apply_U, _apply_n(apply_D, omega(n), rho, n - 1), rho, q - 1)
-    rhs = _apply_n(apply_U, _apply_n(apply_D, omega(n), rho, n), rho, q)
+    full = (1 << n) - 1
+    u_step, d_step = _mask_steppers(rho)
+    lhs = _apply_n(u_step, _apply_n(d_step, full, n - 1), q - 1)
+    rhs = _apply_n(u_step, _apply_n(d_step, full, n), q)
     return lhs == rhs

@@ -34,6 +34,9 @@ from preisach import (
     shortest_path,
     shortest_path_tree,
 )
+from preisach.bijection import _alternation_masks, _phi_labels
+from preisach.cli import random_permutation
+from preisach.graph import _bfs_maps, _configs
 from strategies import permutations_st
 
 RHO231 = make_permutation([2, 3, 1])
@@ -202,6 +205,28 @@ def test_bijection_exhaustive_small():
     for n in range(1, 6):
         for values in permutations(range(1, n + 1)):
             _assert_bijection(make_permutation(values))
+
+
+def _assert_mask_labels_match_view(rho):
+    u_next, d_next = _bfs_maps(rho)
+    labels = _phi_labels(0, u_next, d_next)
+    degrees = _alternation_masks(rho)
+    config = _configs(labels.keys() | degrees.keys(), rho.n)
+    assert {config[m]: s for m, s in labels.items()} == {
+        v: s.values for v, s in phi_all(build_bfs(rho)).items()
+    }
+    assert {config[m]: d for m, d in degrees.items()} == alternation_degrees(rho)
+
+
+def test_mask_labels_match_view_exhaustive_small():
+    for n in range(1, 7):
+        for values in permutations(range(1, n + 1)):
+            _assert_mask_labels_match_view(make_permutation(values))
+
+
+@pytest.mark.parametrize("index", range(6))
+def test_mask_labels_match_view_wide(index):
+    _assert_mask_labels_match_view(random_permutation(22, 0, index))
 
 
 @settings(max_examples=25, deadline=None)

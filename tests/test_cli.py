@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import preisach.cli
-from preisach import SpinConfig, alpha, build_bfs, make_permutation, omega
+from preisach import SpinConfig, VertexBudgetExceeded, alpha, build_bfs, make_permutation
 from preisach.cli import (
     cmd_stats,
     cmd_verify,
@@ -142,16 +142,44 @@ def test_cmd_verify_five_spins():
 
 
 def test_cmd_verify_checks_phi_lengths_against_alternation_oracle(monkeypatch):
-    real = preisach.cli.alternation_degrees
+    real = preisach.cli._alternation_masks
 
     def off_by_one(rho, max_vertices):
         degrees = real(rho, max_vertices)
-        degrees[omega(rho.n)] += 1
+        degrees[(1 << rho.n) - 1] += 1
         return degrees
 
-    monkeypatch.setattr(preisach.cli, "alternation_degrees", off_by_one)
+    monkeypatch.setattr(preisach.cli, "_alternation_masks", off_by_one)
     report = cmd_verify(RHO231)
     assert not report.bijection_ok and not report.passed()
+
+
+def test_cmd_verify_checks_builder_agreement_on_masks(monkeypatch):
+    # the forward builder's D-edge of ++- (mask 3) redirected from +-- to ---
+    real = preisach.cli._forward_maps
+
+    def redirected(rho, max_vertices):
+        u_next, d_next = real(rho, max_vertices)
+        assert d_next[0b011] == 0b001
+        return u_next, {**d_next, 0b011: 0b000}
+
+    monkeypatch.setattr(preisach.cli, "_forward_maps", redirected)
+    report = cmd_verify(RHO231)
+    assert not report.builders_agree and not report.passed()
+
+
+def test_cmd_verify_checks_lrpm_on_masks(monkeypatch):
+    # the same forgery as test_verify_lrpm_rejects_forged_graph, on the
+    # breadth-first maps: (alpha, omega) is a cycle, (+--, ++-) is not
+    real = preisach.cli._bfs_maps
+
+    def forged(rho, max_vertices):
+        u_next, d_next = real(rho, max_vertices)
+        return u_next, {**d_next, 0b011: 0b000}
+
+    monkeypatch.setattr(preisach.cli, "_bfs_maps", forged)
+    report = cmd_verify(RHO231)
+    assert not report.lrpm_ok and not report.passed()
 
 
 def test_cmd_verify_all_small():
@@ -193,6 +221,15 @@ def test_cmd_stats_counts_confirmed_graphs():
 
 def test_cmd_stats_reproducible():
     assert cmd_stats(30, 20, 11) == cmd_stats(30, 20, 11)
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+def test_cmd_stats_rejects_empty_budget(budget, capsys):
+    with pytest.raises(VertexBudgetExceeded, match="budget is empty"):
+        cmd_stats(5, 3, 0, max_vertices=budget)
+    argv = ["stats", "--n", "5", "--samples", "3", "--max-vertices", str(budget)]
+    assert main(argv) == 3
+    assert "budget is empty" in capsys.readouterr().err
 
 
 def test_cli_exit_codes(capsys):
@@ -354,6 +391,13 @@ def test_cli_export_to_file(tmp_path):
     assert main(["export-json", "--perm", "2,3,1", "--out", str(out)]) == 0
     g = load_json(out.read_text(encoding="utf-8"))
     assert len(g.vertices) == 5
+
+
+def test_cli_out_to_unwritable_path(tmp_path, capsys):
+    out = tmp_path / "missing" / "x"
+    assert main(["build", "--perm", "1,2,3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_format_config_round_trip():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 from hypothesis import given
 
@@ -138,3 +140,20 @@ def test_spin_config_ordering_reads_left_to_right():
 def test_spin_config_rejects_bad_entries():
     with pytest.raises(ValueError):
         SpinConfig((1, 0, -1))
+
+
+def test_flipped_agrees_with_validated_constructor():
+    # flipped skips __post_init__; its result must be indistinguishable from
+    # a configuration built through the checked constructor
+    with pytest.raises(ValueError, match="spins must be -1 or"):
+        SpinConfig((0, 1))
+    for n in range(1, 5):
+        for spins in product((-1, 1), repeat=n):
+            sigma = SpinConfig(spins)
+            for i in range(1, n + 1):
+                flipped = sigma.flipped(i)
+                checked = SpinConfig(spins[: i - 1] + (-spins[i - 1],) + spins[i:])
+                assert type(flipped) is SpinConfig
+                assert flipped == checked and hash(flipped) == hash(checked)
+                assert (flipped < sigma) == (checked < sigma)
+                assert flipped.flipped(i) == sigma

@@ -26,6 +26,8 @@ from preisach import (
     cycle_of,
     d_orbit,
     decompose,
+    i_minus,
+    i_plus,
     invert,
     loop_vertices,
     make_permutation,
@@ -37,6 +39,7 @@ from preisach import (
     verify_lrpm,
 )
 from preisach.cli import random_permutation
+from preisach.graph import _configs, _mask, _mask_steppers
 from strategies import permutations_st
 
 RHO231 = make_permutation([2, 3, 1])
@@ -148,6 +151,23 @@ def test_build_forward_matches_bfs_wide(index):
     g = build_bfs(rho)
     assert build_forward(rho) == g
     assert verify_lrpm(g)
+
+
+def test_mask_steppers_match_maps():
+    # on every configuration, reachable or not: the mask steppers are
+    # i_plus / i_minus followed by flipped
+    for n in range(1, 6):
+        for values in permutations(range(1, n + 1)):
+            rho = make_permutation(values)
+            u_step, d_step = _mask_steppers(rho)
+            configs = _configs(range(1 << n), n)
+            for m, sigma in configs.items():
+                assert sigma.spins == tuple(1 if m >> j & 1 else -1 for j in range(n))
+                assert _mask(sigma) == m
+                i = i_plus(sigma)
+                assert u_step(m) == (None if i is None else _mask(sigma.flipped(i)))
+                i = i_minus(sigma, rho)
+                assert d_step(m) == (None if i is None else _mask(sigma.flipped(i)))
 
 
 @given(permutations_st())
