@@ -10,21 +10,25 @@ increasing subsequences (the empty one included), and the subsequence length
 equals the nesting degree of the vertex: the minimal number of alternating
 blocks needed to reach it.
 
-`phi_all` labels every vertex in one breadth-first pass over the vertex
-masks of the graph's edges (`_phi_labels`); `shortest_path` and
+`phi_all` labels every vertex in one breadth-first pass over the graph's
+successor maps (`_phi_labels`, which runs on any hashable states given a
+label function: the spin an edge flips).  `shortest_path` and
 `block_decomposition` are the path-by-path oracle route the tests compare it
-against, and `nesting_degree_oracle` a tree-free one: a 0/1 alternation-cost
-search over raw map applications on masks (`_alternation_masks`).  The mask
-functions are what `cli.cmd_verify` calls; `phi_all` and
-`alternation_degrees` key their results by `SpinConfig`.
+against, and `shortest_path_tree` builds their `LabeledEdge` steps, one
+per tree edge.  `nesting_degree_oracle` is a tree-free oracle: a
+0/1 alternation-cost search over raw map applications on masks
+(`_alternation_masks`).  `cli.cmd_verify` calls the labelling and the search
+on the builders' mask maps; `phi_all` and `alternation_degrees` key their
+results by `SpinConfig`.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import Callable
 
-from .core import Permutation, SpinConfig, SpinIndex, alpha
+from .core import Permutation, SpinConfig, SpinIndex, alpha, i_minus, i_plus
 from .graph import (
     DEFAULT_MAX_VERTICES,
     EdgeKind,
@@ -32,10 +36,8 @@ from .graph import (
     PreisachGraph,
     VertexBudgetExceeded,
     _configs,
-    _map_steppers,
-    _mask,
     _mask_steppers,
-    _maps_of_graph,
+    edge_label,
 )
 
 __all__ = [
@@ -142,14 +144,13 @@ def shortest_path_tree(g: PreisachGraph) -> dict[SpinConfig, LabeledEdge]:
     while queue:
         v = queue.popleft()
         d = depth[v]
-        for edge_map in (g.u_next, g.d_next):
-            e = edge_map.get(v)
-            if e is None:
+        for kind, succ in ((EdgeKind.U, g.u_next), (EdgeKind.D, g.d_next)):
+            t = succ.get(v)
+            if t is None:
                 continue
-            t = e.dst
             if t not in depth:
                 depth[t] = d + 1
-                parent[t] = e
+                parent[t] = LabeledEdge(v, t, kind, edge_label(v, t))
                 queue.append(t)
             elif depth[t] == d + 1:
                 raise UniquenessViolation(
@@ -220,46 +221,49 @@ def phi(g: PreisachGraph, sigma: SpinConfig) -> IncreasingSubsequence:
 
 
 def phi_all(g: PreisachGraph) -> dict[SpinConfig, IncreasingSubsequence]:
-    """phi for every vertex, labelled on the vertex masks of g's edges (see
-    _phi_labels); an edge's label is read as the spin it flips."""
-    config, u_next, d_next = _maps_of_graph(g)
-    labels = _phi_labels(_mask(g.alpha), u_next, d_next)
-    return {config[m]: IncreasingSubsequence(s) for m, s in labels.items()}
+    """phi for every vertex, labelled on g's successor maps (see
+    _phi_labels)."""
+    labels = _phi_labels(g.alpha, g.u_next, g.d_next, edge_label)
+    return {v: IncreasingSubsequence(s) for v, s in labels.items()}
+
+
+def _mask_label(v: int, t: int) -> int:
+    """The label of the mask edge v -> t: its one flipped bit."""
+    return (v ^ t).bit_length()
 
 
 def _phi_labels(
-    start: int, u_next: dict[int, int], d_next: dict[int, int]
-) -> dict[int, tuple[int, ...]]:
-    """phi of every mask reachable from start in mask successor maps, in one
+    start, u_next: dict, d_next: dict, label: Callable = _mask_label
+) -> dict:
+    """phi of every state reachable from start in successor maps, in one
     breadth-first pass that explores U before D from each vertex: a vertex's
     tree parent is the vertex that first reaches it.  An edge of the
     parent's tree-edge kind replaces the parent's newest switch-back label;
-    an edge of the other kind prepends one.  The label is the flipped bit.
+    an edge of the other kind prepends one.  label(v, t) is the spin the
+    edge v -> t flips; the default reads it off vertex masks.
 
     Raises UniquenessViolation if some vertex is reached by two distinct
     parents at the same depth.
     """
-    labels: dict[int, tuple[int, ...]] = {start: ()}
+    labels = {start: ()}
     depth = {start: 0}
-    kind = {start: None}
-    queue = deque([start])
+    # a queue entry carries a vertex, its children's depth, its tree-edge
+    # kind and its labels, so a dequeued vertex needs no lookup: every dict
+    # operation on a SpinConfig re-hashes its spin tuple
+    queue = deque([(start, 1, None, ())])
     while queue:
-        v = queue.popleft()
-        d = depth[v] + 1
-        s = labels[v]
+        v, d, tree_kind, s = queue.popleft()
         for k, succ in ((EdgeKind.U, u_next), (EdgeKind.D, d_next)):
             t = succ.get(v)
             if t is None:
                 continue
-            if t not in depth:
+            seen = depth.get(t)
+            if seen is None:
                 depth[t] = d
-                kind[t] = k
-                labels[t] = ((v ^ t).bit_length(),) + (s[1:] if kind[v] is k else s)
-                queue.append(t)
-            elif depth[t] == d:
-                raise UniquenessViolation(
-                    f"uniqueness violated: two shortest paths reach mask {t:#b}"
-                )
+                st = labels[t] = (label(v, t),) + (s[1:] if tree_kind is k else s)
+                queue.append((t, d + 1, k, st))
+            elif seen == d:
+                raise UniquenessViolation(f"uniqueness violated: two shortest paths reach {t}")
     return labels
 
 
@@ -285,17 +289,15 @@ def phi_inverse_constructive(rho: Permutation, s: IncreasingSubsequence) -> Spin
     until the edge labeled with the next value is taken.
     """
     increasing_subsequence(s.values, rho)
-    u_step, d_step = _map_steppers(rho)
     cur = alpha(rho.n)
     going_up = True
     for target in reversed(s.values):
-        step = u_step if going_up else d_step
         while True:
-            nxt = step(cur)
-            if nxt is None:
+            i = i_plus(cur) if going_up else i_minus(cur, rho)
+            if i is None:
                 raise RuntimeError(f"no step flips spin {target}")
-            cur, label = nxt
-            if label == target:
+            cur = cur.flipped(i)
+            if i == target:
                 break
         going_up = not going_up
     return cur

@@ -26,7 +26,6 @@ from .core import Permutation, SpinConfig, alpha, make_permutation, omega
 from .graph import (
     DEFAULT_MAX_VERTICES,
     EdgeKind,
-    LabeledEdge,
     PreisachGraph,
     VertexBudgetExceeded,
     _bfs_maps,
@@ -90,36 +89,49 @@ def format_config(sigma: SpinConfig) -> str:
     return "".join("+" if s == 1 else "-" for s in sigma.spins)
 
 
+# sign string, reversed, to binary digits of the vertex mask
+_MASK_DIGITS = str.maketrans("+-", "10")
+
+
+def _export_rows(g: PreisachGraph) -> tuple[list[str], list[tuple[str, str, str, int]]]:
+    """The sign strings of the vertices in canonical order, and per vertex
+    its U-edge then its D-edge as (from, to, kind, label).  A label is the
+    one spin the two sign strings differ in, read as the one bit their
+    masks differ in."""
+    name = {v: format_config(v) for v in g.canonical_vertices()}
+    mask = {s: int(s[::-1].translate(_MASK_DIGITS), 2) for s in name.values()}
+    rows = []
+    for v, s in name.items():
+        for kind, succ in (("U", g.u_next), ("D", g.d_next)):
+            t = succ.get(v)
+            if t is not None:
+                d = name[t]
+                rows.append((s, d, kind, (mask[s] ^ mask[d]).bit_length()))
+    return list(name.values()), rows
+
+
 def export_dot(g: PreisachGraph) -> str:
     """DOT digraph: sign-string node names, U-edges black, D-edges red,
     each labeled with the flipped spin; canonical order throughout."""
+    names, rows = _export_rows(g)
     lines = ["digraph preisach {"]
-    for v in g.canonical_vertices():
-        lines.append(f'  "{format_config(v)}";')
-    for e in g.canonical_edges():
-        color = "black" if e.kind is EdgeKind.U else "red"
-        lines.append(
-            f'  "{format_config(e.src)}" -> "{format_config(e.dst)}" '
-            f"[color={color}, label={e.label}];"
-        )
+    lines += [f'  "{s}";' for s in names]
+    for s, d, kind, label in rows:
+        color = "black" if kind == "U" else "red"
+        lines.append(f'  "{s}" -> "{d}" [color={color}, label={label}];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def export_json(g: PreisachGraph) -> str:
     """Canonical JSON: {"n", "perm", "vertices", "edges"}, stable order."""
+    names, rows = _export_rows(g)
     payload = {
         "n": g.n,
         "perm": list(g.perm.values),
-        "vertices": [format_config(v) for v in g.canonical_vertices()],
+        "vertices": names,
         "edges": [
-            {
-                "from": format_config(e.src),
-                "to": format_config(e.dst),
-                "kind": e.kind.value,
-                "label": e.label,
-            }
-            for e in g.canonical_edges()
+            {"from": s, "to": d, "kind": kind, "label": label} for s, d, kind, label in rows
         ],
     }
     return json.dumps(payload, separators=(",", ":"))
@@ -129,7 +141,8 @@ def load_json(text: str) -> PreisachGraph:
     """Rebuild a graph from export_json output.
 
     Raises ValueError for a malformed payload: a missing key or a value of
-    the wrong shape (a boolean n or label included), an edge endpoint that is
+    the wrong shape (a boolean n or label, or vertices or edges given as
+    anything but a JSON array, included), an edge endpoint that is
     not a listed vertex, a label outside 1..n, a second edge of one kind from
     the same source, an edge that is not the U- or D-transition of perm from
     its source, or a payload that is not the whole graph: a vertex listed
@@ -144,9 +157,12 @@ def load_json(text: str) -> PreisachGraph:
         n = rho.n
         if type(payload["n"]) is not int or payload["n"] != n:
             raise ValueError(f"inconsistent n: {payload['n']!r} vs permutation of {n}")
+        for key in ("vertices", "edges"):
+            if type(payload[key]) is not list:
+                raise ValueError(f"malformed graph JSON: {key} is not an array")
         vertex_of = {s: parse_config(s, n) for s in payload["vertices"]}
-        u_next: dict[SpinConfig, LabeledEdge] = {}
-        d_next: dict[SpinConfig, LabeledEdge] = {}
+        u_next: dict[SpinConfig, SpinConfig] = {}
+        d_next: dict[SpinConfig, SpinConfig] = {}
         for item in payload["edges"]:
             src = vertex_of.get(item["from"])
             dst = vertex_of.get(item["to"])
@@ -171,7 +187,7 @@ def load_json(text: str) -> PreisachGraph:
                     f"edge {s} -> {item['to']} label {label}: "
                     f"not the {kind.value}-transition of perm"
                 )
-            edges[src] = LabeledEdge(src, dst, kind, label)
+            edges[src] = dst
         if len(vertex_of) != len(payload["vertices"]):
             raise ValueError("a vertex is listed twice")
     except (KeyError, TypeError) as exc:
@@ -285,7 +301,9 @@ class VerifyAllSummary:
 def cmd_verify_all(n: int, max_vertices: int = DEFAULT_MAX_VERTICES) -> VerifyAllSummary:
     """cmd_verify over every permutation of {1, ..., n}; n is capped because
     the run is factorial."""
-    if not 1 <= n <= _VERIFY_ALL_LIMIT:
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if n > _VERIFY_ALL_LIMIT:
         raise ValueError(f"n too large: {n} (max {_VERIFY_ALL_LIMIT})")
     failures = []
     checked = 0
@@ -360,8 +378,9 @@ def cmd_stats(
 ) -> StatsReport:
     """Sample permutations, report the LIS mean and population stddev, and,
     for every sample whose graph fits the vertex budget (decided exactly via
-    count_increasing before building), confirm graph nesting = LIS.  A
-    budget below 1 raises VertexBudgetExceeded, as the builders do."""
+    count_increasing before building), confirm graph nesting = LIS on the
+    breadth-first mask maps, as cmd_verify does.  A budget below 1 raises
+    VertexBudgetExceeded, as the builders do."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     if max_vertices < 1:
@@ -373,8 +392,8 @@ def cmd_stats(
         lis = lis_patience(rho)
         lis_values.append(lis)
         if count_increasing(rho) <= max_vertices:
-            g = build_bfs(rho, max_vertices)
-            if nesting_of_graph(g) != lis:
+            u_next, d_next = _bfs_maps(rho, max_vertices)
+            if max(map(len, _phi_labels(0, u_next, d_next).values())) != lis:
                 raise RuntimeError(
                     f"graph nesting != LIS for {rho.values}"
                 )

@@ -123,7 +123,10 @@ class SpinConfig:
         return self.spins.count(1)
 
     def flipped(self, i: SpinIndex) -> SpinConfig:
-        """The configuration with spin i (1-based) negated."""
+        """The configuration with spin i (1-based) negated; ValueError for
+        an index outside 1..n."""
+        if not 1 <= i <= len(self.spins):
+            raise ValueError(f"spin index {i} outside 1..{len(self.spins)}")
         j = i - 1
         return SpinConfig._unchecked(self.spins[:j] + (-self.spins[j],) + self.spins[j + 1 :])
 

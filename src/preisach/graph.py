@@ -2,8 +2,10 @@
 
 The graph has one vertex per spin configuration reachable from alpha under
 the up/down maps, a U-edge from every vertex except omega, and a D-edge from
-every vertex except alpha.  Edges carry the index of the spin they flip.
-The fixed-point transitions at alpha and omega are never stored.
+every vertex except alpha.  It is stored as two successor maps, `u_next`
+and `d_next`, from a vertex to the vertex its edge leads to; an edge's label
+is the one spin its two endpoints differ in (`edge_label`).  The
+fixed-point transitions at alpha and omega are never stored.
 
 Two independent builders are provided.  `build_bfs` closes {alpha} under the
 two maps.  `build_forward` grows one graph of n-spin configurations value by
@@ -18,16 +20,17 @@ m | (m + 1), D clears the first set bit in scan order, and an edge's label
 is the one bit of src ^ dst.  `_bfs_maps` and `_forward_maps` return the U-
 and D-successor maps as dicts of masks, which `cli.cmd_verify` checks
 directly; `build_bfs` and `build_forward` turn them into a `PreisachGraph`
-of `SpinConfig` and `LabeledEdge` objects through one view,
-`_graph_of_maps`, and `_maps_of_graph` reads a graph back into masks.
+of `SpinConfig` vertices through one view, `_graph_of_maps`.
 
 Cycles, absorption, loop return-point memory and loops follow the orbit
 definitions directly.  `build_forward`, `loop_vertices` and `verify_lrpm`
 share one walk over the major sub-cycles of a pair.  The pairs it reaches
 with one lower end lie along that end's U-orbit, and those with one upper
 end along its D-orbit, so it records each orbit once and visits each state
-on it once.  `build_forward` and `verify_lrpm` run the walk on masks,
-`loop_vertices` on spin configurations with the maps themselves.
+on it once.  `build_forward` runs the walk on masks, `verify_lrpm` on
+vertex numbers, `loop_vertices` on spin configurations with the maps
+themselves.  Every step function here maps a state to its successor, or to
+None at a fixed point.
 `check_lrpm` stays the literal recursive definition the tests
 cross-validate `verify_lrpm` against.
 """
@@ -37,7 +40,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, TypeVar
 
 from .core import Permutation, SpinConfig, SpinIndex, i_minus, i_plus
 
@@ -47,6 +50,7 @@ __all__ = [
     "EdgeKind",
     "LabeledEdge",
     "PreisachGraph",
+    "edge_label",
     "Cycle",
     "build_bfs",
     "build_forward",
@@ -60,7 +64,6 @@ __all__ = [
     "decompose",
     "merge_identity_top",
     "merge_identity_bottom",
-    "canonical_key",
 ]
 
 # The vertex count equals the number of increasing subsequences of the
@@ -79,7 +82,8 @@ class EdgeKind(enum.Enum):
 
 @dataclass(frozen=True)
 class LabeledEdge:
-    """A single transition; `label` is the 1-based index of the flipped spin."""
+    """A single transition; `label` is the 1-based index of the flipped spin.
+    A step of an oracle path; the graph itself stores successor maps."""
 
     src: SpinConfig
     dst: SpinConfig
@@ -91,17 +95,17 @@ class LabeledEdge:
 class PreisachGraph:
     """The reachable configurations with their unique U- and D-successors.
 
-    Immutable after construction; equality is structural over vertices,
-    edges, kinds and labels.  Unhashable on purpose: the edge maps are dicts,
-    so a hash over the fields cannot be formed.
+    Immutable after construction; equality compares the vertex sets and the
+    successor maps.  Unhashable on purpose: the successor maps are dicts, so
+    a hash over the fields cannot be formed.
     """
 
     __hash__ = None  # type: ignore[assignment]
 
     perm: Permutation
     vertices: frozenset[SpinConfig]
-    u_next: dict[SpinConfig, LabeledEdge]
-    d_next: dict[SpinConfig, LabeledEdge]
+    u_next: dict[SpinConfig, SpinConfig]
+    d_next: dict[SpinConfig, SpinConfig]
     alpha: SpinConfig
     omega: SpinConfig
 
@@ -115,17 +119,25 @@ class PreisachGraph:
 
     def canonical_vertices(self) -> list[SpinConfig]:
         """Vertices sorted by (+1 count, spin sequence); the serialization order."""
-        return sorted(self.vertices, key=canonical_key)
+        return sorted(self.vertices, key=lambda v: (v.count_plus(), v.spins))
 
-    def canonical_edges(self) -> list[LabeledEdge]:
-        """Per canonical vertex, its U-edge then its D-edge."""
-        out = []
-        for v in self.canonical_vertices():
-            if v in self.u_next:
-                out.append(self.u_next[v])
-            if v in self.d_next:
-                out.append(self.d_next[v])
-        return out
+
+def edge_label(src: SpinConfig, dst: SpinConfig) -> SpinIndex:
+    """The one spin src and dst differ in: the label of an edge src -> dst.
+    Raises ValueError unless they differ in exactly one spin.
+
+    >>> g = build_bfs(Permutation((2, 3, 1)))
+    >>> top = SpinConfig((1, 1, -1))
+    >>> edge_label(top, g.u_next[top]), edge_label(top, g.d_next[top])
+    (3, 2)
+    """
+    a, b = src.spins, dst.spins
+    for i, (s, t) in enumerate(zip(a, b), start=1):
+        if s != t:
+            if a[i:] == b[i:] and len(a) == len(b):
+                return i
+            break
+    raise ValueError(f"not an edge: {a} -> {b}")
 
 
 @dataclass(frozen=True)
@@ -139,50 +151,36 @@ class Cycle:
     d_boundary: tuple[SpinConfig, ...]
 
 
-def canonical_key(sigma: SpinConfig) -> tuple[int, tuple[int, ...]]:
-    return (sigma.count_plus(), sigma.spins)
+S = TypeVar("S")
+# A stepper returns the successor of a state, or None at a fixed point.
+Step = Callable[[S], "S | None"]
 
 
-# A stepper returns (successor, flipped spin) or None at a fixed point.
-Stepper = Callable[[SpinConfig], "tuple[SpinConfig, SpinIndex] | None"]
-# A mask stepper returns the successor mask, or None at a fixed point.
-MaskStep = Callable[[int], "int | None"]
+def _map_steppers(rho: Permutation) -> tuple[Step[SpinConfig], Step[SpinConfig]]:
+    """U and D on spin configurations: i_plus / i_minus, then flipped."""
 
-
-def _map_steppers(rho: Permutation) -> tuple[Stepper, Stepper]:
-    def u_step(s: SpinConfig):
+    def u_step(s: SpinConfig) -> SpinConfig | None:
         i = i_plus(s)
-        return None if i is None else (s.flipped(i), i)
+        return None if i is None else s.flipped(i)
 
-    def d_step(s: SpinConfig):
+    def d_step(s: SpinConfig) -> SpinConfig | None:
         i = i_minus(s, rho)
-        return None if i is None else (s.flipped(i), i)
+        return None if i is None else s.flipped(i)
 
     return u_step, d_step
 
 
-def _chain(step: Stepper, start: SpinConfig, target: SpinConfig) -> list[SpinConfig] | None:
-    """The orbit segment from start up to and including target, or None if the
-    orbit hits its fixed point without reaching target."""
+def _chain(step: Step[S], start: S, target: S | None = None) -> list[S] | None:
+    """The orbit of start up to and including target, or None if it hits its
+    fixed point without reaching target; with no target, the whole orbit up
+    to and including the fixed point."""
     out = [start]
-    cur = start
-    while cur != target:
-        nxt = step(cur)
+    while out[-1] != target:
+        nxt = step(out[-1])
         if nxt is None:
-            return None
-        cur = nxt[0]
-        out.append(cur)
+            return out if target is None else None
+        out.append(nxt)
     return out
-
-
-def _reaches(step: Stepper, start: SpinConfig, target: SpinConfig) -> bool:
-    cur = start
-    while cur != target:
-        nxt = step(cur)
-        if nxt is None:
-            return False
-        cur = nxt[0]
-    return True
 
 
 def _charge(vertices: set, max_vertices: int) -> None:
@@ -192,7 +190,7 @@ def _charge(vertices: set, max_vertices: int) -> None:
         )
 
 
-def _mask_steppers(rho: Permutation) -> tuple[MaskStep, MaskStep]:
+def _mask_steppers(rho: Permutation) -> tuple[Step[int], Step[int]]:
     """U and D on vertex masks, bit i-1 set meaning spin i is up.  Each
     returns None at its fixed point: omega for U, alpha for D."""
     full = (1 << rho.n) - 1
@@ -288,64 +286,26 @@ def _configs(masks, n: int) -> dict[int, SpinConfig]:
     }
 
 
-def _mask(sigma: SpinConfig) -> int:
-    """The vertex mask of sigma: bit i-1 set iff spin i is up."""
-    return sum(1 << i for i, s in enumerate(sigma.spins) if s == 1)
-
-
 def _graph_of_maps(
     rho: Permutation, u_next: dict[int, int], d_next: dict[int, int]
 ) -> PreisachGraph:
-    """The PreisachGraph of mask successor maps.  Each vertex gets one
-    SpinConfig, shared by its edges; an edge's label is the one bit of
-    src ^ dst."""
+    """The PreisachGraph of mask successor maps, one SpinConfig per vertex."""
     full = (1 << rho.n) - 1
     # every vertex but omega has a U-edge
     config = _configs((*u_next, full), rho.n)
-
-    def edges(succ: dict[int, int], kind: EdgeKind) -> dict[SpinConfig, LabeledEdge]:
-        return {
-            config[s]: LabeledEdge(config[s], config[t], kind, (s ^ t).bit_length())
-            for s, t in succ.items()
-        }
-
     return PreisachGraph(
         rho,
         frozenset(config.values()),
-        edges(u_next, EdgeKind.U),
-        edges(d_next, EdgeKind.D),
+        {config[s]: config[t] for s, t in u_next.items()},
+        {config[s]: config[t] for s, t in d_next.items()},
         config[0],
         config[full],
     )
 
 
-def _maps_of_graph(
-    g: PreisachGraph,
-) -> tuple[dict[int, SpinConfig], dict[int, int], dict[int, int]]:
-    """g's edges as mask successor maps, with the configuration of every
-    mask they hold.  Only edges from g.vertices are read, so a state outside
-    g.vertices that an edge leads to has no successor."""
-    mask_of = {v: _mask(v) for v in g.vertices}
-    config = {m: v for v, m in mask_of.items()}
-
-    def succ(edges: dict[SpinConfig, LabeledEdge]) -> dict[int, int]:
-        out = {}
-        for v, m in mask_of.items():
-            e = edges.get(v)
-            if e is not None:
-                t = mask_of.get(e.dst)
-                if t is None:
-                    t = _mask(e.dst)
-                    config[t] = e.dst
-                out[m] = t
-        return out
-
-    return config, succ(g.u_next), succ(g.d_next)
-
-
 def build_bfs(rho: Permutation, max_vertices: int = DEFAULT_MAX_VERTICES) -> PreisachGraph:
     """Close {alpha} under the two maps, recording every non-fixed-point
-    transition as a labeled edge.  From each dequeued vertex the U-successor
+    transition as an edge.  From each dequeued vertex the U-successor
     is explored before the D-successor."""
     return _graph_of_maps(rho, *_bfs_maps(rho, max_vertices))
 
@@ -362,7 +322,7 @@ def build_forward(rho: Permutation, max_vertices: int = DEFAULT_MAX_VERTICES) ->
     join the two parts.  No vertex outside the duplicated loop is touched.
 
     The graph grows on vertex masks, so the copy of v is v | 1 << (m-1);
-    the SpinConfig and LabeledEdge objects are built once, at return.
+    the SpinConfig vertices are built once, at return.
     Returns a graph equal to build_bfs(rho).
     """
     return _graph_of_maps(rho, *_forward_maps(rho, max_vertices))
@@ -371,22 +331,13 @@ def build_forward(rho: Permutation, max_vertices: int = DEFAULT_MAX_VERTICES) ->
 def u_orbit(rho: Permutation, sigma: SpinConfig) -> list[SpinConfig]:
     """sigma, U sigma, U^2 sigma, ... up to and including omega."""
     u_step, _ = _map_steppers(rho)
-    return _orbit(u_step, sigma)
+    return _chain(u_step, sigma)
 
 
 def d_orbit(rho: Permutation, sigma: SpinConfig) -> list[SpinConfig]:
     """sigma, D sigma, D^2 sigma, ... up to and including alpha."""
     _, d_step = _map_steppers(rho)
-    return _orbit(d_step, sigma)
-
-
-def _orbit(step: Stepper, sigma: SpinConfig) -> list[SpinConfig]:
-    out = [sigma]
-    cur = sigma
-    while (nxt := step(cur)) is not None:
-        cur = nxt[0]
-        out.append(cur)
-    return out
+    return _chain(d_step, sigma)
 
 
 def cycle_of(rho: Permutation, mu: SpinConfig, nu: SpinConfig) -> Cycle:
@@ -409,8 +360,8 @@ def check_absorption(rho: Permutation, c: Cycle) -> bool:
     """True iff every U-boundary state returns to mu under D and every
     D-boundary state returns to nu under U."""
     u_step, d_step = _map_steppers(rho)
-    return all(_reaches(d_step, u, c.mu) for u in c.u_boundary) and all(
-        _reaches(u_step, v, c.nu) for v in c.d_boundary
+    return all(_chain(d_step, u, c.mu) is not None for u in c.u_boundary) and all(
+        _chain(u_step, v, c.nu) is not None for v in c.d_boundary
     )
 
 
@@ -435,8 +386,8 @@ def check_lrpm(rho: Permutation, c: Cycle) -> bool:
         if ub is None or db is None:
             memo[key] = False
             return False
-        absorbed = all(_reaches(d_step, u, mu) for u in ub) and all(
-            _reaches(u_step, v, nu) for v in db
+        absorbed = all(_chain(d_step, u, mu) is not None for u in ub) and all(
+            _chain(u_step, v, nu) is not None for v in db
         )
         if not absorbed:
             memo[key] = False
@@ -458,7 +409,7 @@ class _Orbit:
         self.states = [start]
         self.pushed = 0
 
-    def position(self, succ: Callable, target) -> int | None:
+    def position(self, succ: Step, target) -> int | None:
         """The index of target on the orbit, stepping succ only past the
         recorded part; None if the orbit ends or cycles before target."""
         states = self.states
@@ -472,7 +423,7 @@ class _Orbit:
         return None
 
 
-def _subcycle_walk(u_succ: Callable, d_succ: Callable, mu, nu) -> set | None:
+def _subcycle_walk(u_succ: Step, d_succ: Step, mu, nu) -> set | None:
     """Walk the major sub-cycles of (mu, nu): from a reached pair (m, v) on
     to (m, u) for each state u of its U-boundary and (w, v) for each state w
     of its D-boundary.  Returns the union of the boundary states, or None as
@@ -522,7 +473,7 @@ def _subcycle_walk(u_succ: Callable, d_succ: Callable, mu, nu) -> set | None:
     return verts
 
 
-def _loop_union(u_succ: Callable, d_succ: Callable, mu, nu) -> set:
+def _loop_union(u_succ: Step, d_succ: Step, mu, nu) -> set:
     """The union of the boundary states of the major sub-cycles of (mu, nu)."""
     verts = _subcycle_walk(u_succ, d_succ, mu, nu)
     if verts is None:
@@ -535,13 +486,7 @@ def loop_vertices(rho: Permutation, c: Cycle) -> set[SpinConfig]:
     states of major sub-cycles.  Requires the cycle to be absorbing."""
     if not check_absorption(rho, c):
         raise ValueError("not absorbing")
-    u_step, d_step = _map_steppers(rho)
-    return _loop_union(
-        lambda s: None if (t := u_step(s)) is None else t[0],
-        lambda s: None if (t := d_step(s)) is None else t[0],
-        c.mu,
-        c.nu,
-    )
+    return _loop_union(*_map_steppers(rho), c.mu, c.nu)
 
 
 def verify_lrpm(
@@ -559,18 +504,25 @@ def verify_lrpm(
     so "every reached pair is a cycle" is "every reached pair is an
     absorbing cycle", the recursive definition check_lrpm evaluates.
 
-    The walk runs on the vertex masks of g's edges, visiting each state of
-    each orbit it records once (see _subcycle_walk).  An orbit that cycles
-    never reaches its target, and an edge into a state outside g.vertices
-    ends its orbit, so a pair that needs either is not a cycle and the
-    result is False.
+    The walk runs on the vertices numbered once, visiting each state of
+    each orbit it records once (see _subcycle_walk); a walk on the
+    configurations themselves would hash a spin tuple at every step.  An
+    orbit that cycles never reaches its target, and an edge into a state
+    outside g.vertices ends its orbit, so a pair that needs either is not a
+    cycle and the result is False.
     """
     mu = g.alpha if mu is None else mu
     nu = g.omega if nu is None else nu
     if mu not in g.vertices or nu not in g.vertices:
         raise ValueError("not a vertex")
-    _, u_next, d_next = _maps_of_graph(g)
-    return _subcycle_walk(u_next.get, d_next.get, _mask(mu), _mask(nu)) is not None
+    number = {v: i for i, v in enumerate(g.vertices)}
+
+    def successors(succ: dict[SpinConfig, SpinConfig]) -> list[int | None]:
+        return [number.get(succ.get(v)) for v in number]
+
+    u_succ = successors(g.u_next).__getitem__
+    d_succ = successors(g.d_next).__getitem__
+    return _subcycle_walk(u_succ, d_succ, number[mu], number[nu]) is not None
 
 
 def decompose(
@@ -587,17 +539,25 @@ def decompose(
     n = rho.n
     top = g.alpha
     for _ in range(n - 1):
-        top = g.u_next[top].dst
+        top = g.u_next[top]
     lower = loop_vertices(rho, cycle_of(rho, g.alpha, top))
     k = rho.position_of(n)
     bottom = g.omega
     for _ in range(k - 1):
-        bottom = g.d_next[bottom].dst
+        bottom = g.d_next[bottom]
     upper = loop_vertices(rho, cycle_of(rho, bottom, g.omega))
-    return lower, upper, (g.u_next[top], g.d_next[bottom])
+    up, down = g.u_next[top], g.d_next[bottom]
+    return (
+        lower,
+        upper,
+        (
+            LabeledEdge(top, up, EdgeKind.U, edge_label(top, up)),
+            LabeledEdge(bottom, down, EdgeKind.D, edge_label(bottom, down)),
+        ),
+    )
 
 
-def _apply_n(step: MaskStep, m: int, times: int) -> int:
+def _apply_n(step: Step[int], m: int, times: int) -> int:
     """step applied `times` times, a fixed point mapping to itself."""
     for _ in range(times):
         t = step(m)

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 
 from preisach import (
     EdgeKind,
-    LabeledEdge,
     PreisachGraph,
     SpinConfig,
     UniquenessViolation,
@@ -77,12 +76,8 @@ def test_uniqueness_tripwire_fires_on_a_forged_graph():
     g = PreisachGraph(
         perm=make_permutation([1, 2]),
         vertices=frozenset({a, b, c, d}),
-        u_next={
-            a: LabeledEdge(a, b, EdgeKind.U, 1),
-            b: LabeledEdge(b, d, EdgeKind.U, 2),
-            c: LabeledEdge(c, d, EdgeKind.U, 1),
-        },
-        d_next={a: LabeledEdge(a, c, EdgeKind.D, 2)},
+        u_next={a: b, b: d, c: d},
+        d_next={a: c},
         alpha=a,
         omega=d,
     )

@@ -192,6 +192,9 @@ def test_cmd_verify_all_small():
 def test_cmd_verify_all_guard():
     with pytest.raises(ValueError, match="n too large"):
         cmd_verify_all(12)
+    for n in (0, -3):
+        with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
+            cmd_verify_all(n)
 
 
 def test_random_permutation_deterministic():
@@ -237,7 +240,8 @@ def test_cli_exit_codes(capsys):
     assert main(["verify", "--perm", "2,2,1"]) == 2
     assert main(["build", "--perm", "1,2,3,4,5,6,7,8,9,10", "--max-vertices", "100"]) == 3
     assert main(["verify-all", "--n", "12"]) == 2
-    capsys.readouterr()
+    assert main(["verify-all", "--n", "0"]) == 2
+    assert "n must be >= 1, got 0" in capsys.readouterr().err
 
 
 def test_cli_phi_round_trip(capsys):
@@ -342,6 +346,23 @@ def _with_unreachable_vertex() -> str:
             '{"from":"+","to":"-","kind":"D","label":1}]}',
             "non-integer value True",
         ),
+        (
+            '{"n":1,"perm":[1],"vertices":"-+",'
+            '"edges":[{"from":"-","to":"+","kind":"U","label":1},'
+            '{"from":"+","to":"-","kind":"D","label":1}]}',
+            "malformed.*vertices is not an array",
+        ),
+        (
+            '{"n":1,"perm":[1],"vertices":{"-":0,"+":0},'
+            '"edges":[{"from":"-","to":"+","kind":"U","label":1},'
+            '{"from":"+","to":"-","kind":"D","label":1}]}',
+            "malformed.*vertices is not an array",
+        ),
+        (
+            '{"n":1,"perm":[1],"vertices":["-","+"],'
+            '"edges":{"U":{"from":"-","to":"+","kind":"U","label":1}}}',
+            "malformed.*edges is not an array",
+        ),
     ],
     ids=[
         "top-level-list",
@@ -363,6 +384,9 @@ def _with_unreachable_vertex() -> str:
         "boolean-n",
         "boolean-label",
         "boolean-perm-value",
+        "vertices-as-string",
+        "vertices-as-object",
+        "edges-as-object",
     ],
 )
 def test_load_json_rejects_malformed_payload(text, match):

@@ -157,3 +157,9 @@ def test_flipped_agrees_with_validated_constructor():
                 assert flipped == checked and hash(flipped) == hash(checked)
                 assert (flipped < sigma) == (checked < sigma)
                 assert flipped.flipped(i) == sigma
+
+
+@pytest.mark.parametrize("i", [0, -1, 4, 7])
+def test_flipped_rejects_index_outside_range(i):
+    with pytest.raises(ValueError, match=f"spin index {i} outside 1..3"):
+        SpinConfig((1, -1, 1)).flipped(i)

@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from preisach import (
     Cycle,
     EdgeKind,
-    LabeledEdge,
     SpinConfig,
     VertexBudgetExceeded,
     alpha,
@@ -26,6 +25,7 @@ from preisach import (
     cycle_of,
     d_orbit,
     decompose,
+    edge_label,
     i_minus,
     i_plus,
     invert,
@@ -39,7 +39,7 @@ from preisach import (
     verify_lrpm,
 )
 from preisach.cli import random_permutation
-from preisach.graph import _configs, _mask, _mask_steppers
+from preisach.graph import _configs, _mask_steppers
 from strategies import permutations_st
 
 RHO231 = make_permutation([2, 3, 1])
@@ -59,14 +59,14 @@ def test_build_bfs_fig_instance():
         cfg(1, -1, 1),
     }
     assert g.edge_count == 8
-    u_edges = {(e.src.spins, e.dst.spins, e.label) for e in g.u_next.values()}
+    u_edges = {(v.spins, t.spins, edge_label(v, t)) for v, t in g.u_next.items()}
     assert u_edges == {
         ((-1, -1, -1), (1, -1, -1), 1),
         ((1, -1, -1), (1, 1, -1), 2),
         ((1, 1, -1), (1, 1, 1), 3),
         ((1, -1, 1), (1, 1, 1), 2),
     }
-    d_edges = {(e.src.spins, e.dst.spins, e.label) for e in g.d_next.values()}
+    d_edges = {(v.spins, t.spins, edge_label(v, t)) for v, t in g.d_next.items()}
     assert d_edges == {
         ((1, -1, -1), (-1, -1, -1), 1),
         ((1, 1, -1), (1, -1, -1), 2),
@@ -156,6 +156,9 @@ def test_build_forward_matches_bfs_wide(index):
 def test_mask_steppers_match_maps():
     # on every configuration, reachable or not: the mask steppers are
     # i_plus / i_minus followed by flipped
+    def mask(sigma):
+        return sum(1 << j for j, s in enumerate(sigma.spins) if s == 1)
+
     for n in range(1, 6):
         for values in permutations(range(1, n + 1)):
             rho = make_permutation(values)
@@ -163,22 +166,32 @@ def test_mask_steppers_match_maps():
             configs = _configs(range(1 << n), n)
             for m, sigma in configs.items():
                 assert sigma.spins == tuple(1 if m >> j & 1 else -1 for j in range(n))
-                assert _mask(sigma) == m
+                assert mask(sigma) == m
                 i = i_plus(sigma)
-                assert u_step(m) == (None if i is None else _mask(sigma.flipped(i)))
+                assert u_step(m) == (None if i is None else mask(sigma.flipped(i)))
                 i = i_minus(sigma, rho)
-                assert d_step(m) == (None if i is None else _mask(sigma.flipped(i)))
+                assert d_step(m) == (None if i is None else mask(sigma.flipped(i)))
 
 
 @given(permutations_st())
 def test_edge_count_and_labels(rho):
     g = build_bfs(rho)
     assert g.edge_count == 2 * len(g.vertices) - 2
-    for e in list(g.u_next.values()) + list(g.d_next.values()):
-        assert e.dst == e.src.flipped(e.label)
-        expected = -1 if e.kind is EdgeKind.U else 1
-        assert e.src.spins[e.label - 1] == expected
-        assert e.dst in g.vertices
+    for kind, succ in ((EdgeKind.U, g.u_next), (EdgeKind.D, g.d_next)):
+        for src, dst in succ.items():
+            label = edge_label(src, dst)
+            assert dst == src.flipped(label)
+            expected = -1 if kind is EdgeKind.U else 1
+            assert src.spins[label - 1] == expected
+            assert dst in g.vertices
+
+
+@pytest.mark.parametrize(
+    "src, dst", [(alpha(3), alpha(3)), (alpha(3), omega(3)), (alpha(2), SpinConfig((1, -1, 1)))]
+)
+def test_edge_label_rejects_non_edge(src, dst):
+    with pytest.raises(ValueError, match="not an edge"):
+        edge_label(src, dst)
 
 
 def test_u_orbit_examples():
@@ -271,9 +284,9 @@ def test_verify_lrpm_rejects_forged_graph():
     # skips +--
     g = build_bfs(RHO231)
     src = cfg(1, 1, -1)
-    assert g.d_next[src].dst == cfg(1, -1, -1)
+    assert g.d_next[src] == cfg(1, -1, -1)
     d_next = dict(g.d_next)
-    d_next[src] = LabeledEdge(src, alpha(3), EdgeKind.D, 2)
+    d_next[src] = alpha(3)
     assert verify_lrpm(replace(g, d_next=d_next)) is False
 
 
@@ -286,10 +299,10 @@ def test_verify_lrpm_on_every_single_edge_forgery():
     def chain(edges, start, target):
         out = [start]
         while out[-1] != target:
-            e = edges.get(out[-1])
-            if e is None:
+            dst = edges.get(out[-1])
+            if dst is None:
                 return None
-            out.append(e.dst)
+            out.append(dst)
         return out
 
     def lrpm(g):
@@ -316,11 +329,11 @@ def test_verify_lrpm_on_every_single_edge_forgery():
             g = build_bfs(make_permutation(values))
             for field, sign in (("u_next", 1), ("d_next", -1)):
                 edges = getattr(g, field)
-                for src, e in edges.items():
-                    for dst in g.vertices - {e.dst}:
+                for src, old in edges.items():
+                    for dst in g.vertices - {old}:
                         if sign * (dst.count_plus() - src.count_plus()) <= 0:
                             continue
-                        forged = replace(g, **{field: {**edges, src: replace(e, dst=dst)}})
+                        forged = replace(g, **{field: {**edges, src: dst}})
                         got = verify_lrpm(forged)
                         assert got == lrpm(forged), (values, field, src, dst)
                         outcomes.add(got)
@@ -334,7 +347,7 @@ def test_verify_lrpm_rejects_edge_out_of_the_graph():
     src = cfg(1, 1, -1)
     assert cfg(-1, 1, -1) not in g.vertices
     d_next = dict(g.d_next)
-    d_next[src] = LabeledEdge(src, cfg(-1, 1, -1), EdgeKind.D, 1)
+    d_next[src] = cfg(-1, 1, -1)
     assert verify_lrpm(replace(g, d_next=d_next)) is False
 
 
@@ -347,15 +360,12 @@ def test_verify_lrpm_returns_on_a_cycling_orbit():
         """
         import resource
         from dataclasses import replace
-        from preisach import (
-            EdgeKind, LabeledEdge, SpinConfig, alpha, build_bfs, make_permutation,
-            verify_lrpm,
-        )
+        from preisach import SpinConfig, alpha, build_bfs, make_permutation, verify_lrpm
         resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
         g = build_bfs(make_permutation([2, 3, 1]))
         src = SpinConfig((1, 1, -1))
         u_next = dict(g.u_next)
-        u_next[src] = LabeledEdge(src, alpha(3), EdgeKind.U, 3)
+        u_next[src] = alpha(3)
         print(verify_lrpm(replace(g, u_next=u_next)))
         """
     )
