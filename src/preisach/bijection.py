@@ -11,22 +11,20 @@ equals the nesting degree of the vertex: the minimal number of alternating
 blocks needed to reach it.
 
 `phi_all` labels every vertex in one breadth-first pass over the graph's
-successor maps (`_phi_labels`, which runs on any hashable states given a
-label function: the spin an edge flips).  `shortest_path` and
-`block_decomposition` are the path-by-path oracle route the tests compare it
-against, and `shortest_path_tree` builds their `LabeledEdge` steps, one
-per tree edge.  `nesting_degree_oracle` is a tree-free oracle: a
-0/1 alternation-cost search over raw map applications on masks
-(`_alternation_masks`).  `cli.cmd_verify` calls the labelling and the search
-on the builders' mask maps; `phi_all` and `alternation_degrees` key their
-results by `SpinConfig`.
+successor maps read as vertex masks (`_phi_labels`; an edge's label is the
+one bit its endpoints' masks differ in).  `shortest_path` and
+`block_decomposition` are the path-by-path oracle route the tests compare
+it against, and `shortest_path_tree` builds their `LabeledEdge` steps, one
+per tree edge.  `nesting_degree_oracle` is a tree-free oracle: a 0/1
+alternation-cost search over raw map applications on masks
+(`_alternation_masks`).  `cli.cmd_verify` runs the labelling and the search
+on the builders' mask maps.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable
 
 from .core import Permutation, SpinConfig, SpinIndex, alpha, i_minus, i_plus
 from .graph import (
@@ -35,7 +33,7 @@ from .graph import (
     LabeledEdge,
     PreisachGraph,
     VertexBudgetExceeded,
-    _configs,
+    _mask_maps,
     _mask_steppers,
     edge_label,
 )
@@ -221,26 +219,19 @@ def phi(g: PreisachGraph, sigma: SpinConfig) -> IncreasingSubsequence:
 
 
 def phi_all(g: PreisachGraph) -> dict[SpinConfig, IncreasingSubsequence]:
-    """phi for every vertex, labelled on g's successor maps (see
-    _phi_labels)."""
-    labels = _phi_labels(g.alpha, g.u_next, g.d_next, edge_label)
-    return {v: IncreasingSubsequence(s) for v, s in labels.items()}
+    """phi for every vertex, labelled on g's successor maps read as masks
+    (see _phi_labels)."""
+    labels = _phi_labels(g.alpha.mask, *_mask_maps(g))
+    return {SpinConfig._unchecked(g.n, m): IncreasingSubsequence(s) for m, s in labels.items()}
 
 
-def _mask_label(v: int, t: int) -> int:
-    """The label of the mask edge v -> t: its one flipped bit."""
-    return (v ^ t).bit_length()
-
-
-def _phi_labels(
-    start, u_next: dict, d_next: dict, label: Callable = _mask_label
-) -> dict:
-    """phi of every state reachable from start in successor maps, in one
-    breadth-first pass that explores U before D from each vertex: a vertex's
-    tree parent is the vertex that first reaches it.  An edge of the
-    parent's tree-edge kind replaces the parent's newest switch-back label;
-    an edge of the other kind prepends one.  label(v, t) is the spin the
-    edge v -> t flips; the default reads it off vertex masks.
+def _phi_labels(start: int, u_next: dict[int, int], d_next: dict[int, int]) -> dict:
+    """phi of every vertex mask reachable from start in mask successor
+    maps, in one breadth-first pass that explores U before D from each
+    vertex: a vertex's tree parent is the vertex that first reaches it.  An
+    edge of the parent's tree-edge kind replaces the parent's newest
+    switch-back label; an edge of the other kind prepends one.  The label
+    of an edge v -> t is the one bit v ^ t.
 
     Raises UniquenessViolation if some vertex is reached by two distinct
     parents at the same depth.
@@ -248,8 +239,7 @@ def _phi_labels(
     labels = {start: ()}
     depth = {start: 0}
     # a queue entry carries a vertex, its children's depth, its tree-edge
-    # kind and its labels, so a dequeued vertex needs no lookup: every dict
-    # operation on a SpinConfig re-hashes its spin tuple
+    # kind and its labels, so a dequeued vertex needs no lookup
     queue = deque([(start, 1, None, ())])
     while queue:
         v, d, tree_kind, s = queue.popleft()
@@ -260,7 +250,7 @@ def _phi_labels(
             seen = depth.get(t)
             if seen is None:
                 depth[t] = d
-                st = labels[t] = (label(v, t),) + (s[1:] if tree_kind is k else s)
+                st = labels[t] = ((v ^ t).bit_length(),) + (s[1:] if tree_kind is k else s)
                 queue.append((t, d + 1, k, st))
             elif seen == d:
                 raise UniquenessViolation(f"uniqueness violated: two shortest paths reach {t}")
@@ -324,8 +314,7 @@ def alternation_degrees(
     """Minimal alternating-block count for every reachable configuration
     (see _alternation_masks)."""
     degrees = _alternation_masks(rho, max_vertices)
-    config = _configs(degrees, rho.n)
-    return {config[m]: d for m, d in degrees.items()}
+    return {SpinConfig._unchecked(rho.n, m): d for m, d in degrees.items()}
 
 
 def _alternation_masks(

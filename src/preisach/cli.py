@@ -30,6 +30,7 @@ from .graph import (
     VertexBudgetExceeded,
     _bfs_maps,
     _forward_maps,
+    _mask_steppers,
     _subcycle_walk,
     build_bfs,
     merge_identity_bottom,
@@ -74,39 +75,36 @@ def parse_config(text: str, n: int) -> SpinConfig:
     """Parse a sign string: character i is spin i, '+' up, '-' down."""
     if len(text) != n:
         raise ValueError(f"expected {n} spins, got {len(text)}")
-    spins = []
-    for ch in text:
+    if n < 1:
+        raise ValueError("spin configuration must have at least one spin")
+    mask = 0
+    for i, ch in enumerate(text):
         if ch == "+":
-            spins.append(1)
-        elif ch == "-":
-            spins.append(-1)
-        else:
+            mask |= 1 << i
+        elif ch != "-":
             raise ValueError(f"illegal character {ch!r}")
-    return SpinConfig(tuple(spins))
+    return SpinConfig._unchecked(n, mask)
+
+
+# the spins' bits, '1' up and '0' down, to signs
+_SIGNS = str.maketrans("10", "+-")
 
 
 def format_config(sigma: SpinConfig) -> str:
-    return "".join("+" if s == 1 else "-" for s in sigma.spins)
-
-
-# sign string, reversed, to binary digits of the vertex mask
-_MASK_DIGITS = str.maketrans("+-", "10")
+    return sigma._bits().translate(_SIGNS)
 
 
 def _export_rows(g: PreisachGraph) -> tuple[list[str], list[tuple[str, str, str, int]]]:
     """The sign strings of the vertices in canonical order, and per vertex
     its U-edge then its D-edge as (from, to, kind, label).  A label is the
-    one spin the two sign strings differ in, read as the one bit their
-    masks differ in."""
+    one bit the two vertex masks differ in."""
     name = {v: format_config(v) for v in g.canonical_vertices()}
-    mask = {s: int(s[::-1].translate(_MASK_DIGITS), 2) for s in name.values()}
     rows = []
     for v, s in name.items():
         for kind, succ in (("U", g.u_next), ("D", g.d_next)):
             t = succ.get(v)
             if t is not None:
-                d = name[t]
-                rows.append((s, d, kind, (mask[s] ^ mask[d]).bit_length()))
+                rows.append((s, name[t], kind, (v.mask ^ t.mask).bit_length()))
     return list(name.values()), rows
 
 
@@ -161,6 +159,7 @@ def load_json(text: str) -> PreisachGraph:
             if type(payload[key]) is not list:
                 raise ValueError(f"malformed graph JSON: {key} is not an array")
         vertex_of = {s: parse_config(s, n) for s in payload["vertices"]}
+        u_step, d_step = _mask_steppers(rho)
         u_next: dict[SpinConfig, SpinConfig] = {}
         d_next: dict[SpinConfig, SpinConfig] = {}
         for item in payload["edges"]:
@@ -177,14 +176,10 @@ def load_json(text: str) -> PreisachGraph:
             edges = u_next if kind is EdgeKind.U else d_next
             if src in edges:
                 raise ValueError(f"second {kind.value}-edge from {item['from']}")
-            s = item["from"]
-            if kind is EdgeKind.U:
-                i, flip = s.find("-") + 1, "+"
-            else:
-                i, flip = next((v for v in rho.values if s[v - 1] == "+"), 0), "-"
-            if label != i or item["to"] != s[: i - 1] + flip + s[i:]:
+            t = (u_step if kind is EdgeKind.U else d_step)(src.mask)
+            if t != dst.mask or label != (t ^ src.mask).bit_length():
                 raise ValueError(
-                    f"edge {s} -> {item['to']} label {label}: "
+                    f"edge {item['from']} -> {item['to']} label {label}: "
                     f"not the {kind.value}-transition of perm"
                 )
             edges[src] = dst

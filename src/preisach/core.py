@@ -8,13 +8,15 @@ first +1 spin it encounters back to -1.  omega is a fixed point of U and
 alpha a fixed point of D; both maps are total.
 
 Spin positions are 1-based throughout the package; any 0-based indexing is
-internal to a function body.  Spin configurations compare and sort by their
-spin sequence read left to right with -1 < +1.
+internal to a function body.  A `SpinConfig` holds its spins as an int mask,
+bit i-1 set meaning spin i is up, and compares and sorts by its spin
+sequence read left to right with -1 < +1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import total_ordering
 
 __all__ = [
     "SpinIndex",
@@ -95,40 +97,58 @@ def invert(rho: Permutation) -> Permutation:
     return Permutation(tuple(inv))
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
+@dataclass(frozen=True, init=False, repr=False)
 class SpinConfig:
-    """A configuration of n spins, each -1 or +1."""
+    """A configuration of n spins, each -1 or +1, built from its spin
+    sequence and held as a mask: bit i-1 set means spin i is up."""
 
-    spins: tuple[int, ...]
+    n: int
+    mask: int
 
-    def __post_init__(self) -> None:
-        if not self.spins:
+    def __init__(self, spins) -> None:
+        spins = tuple(spins)
+        if not spins:
             raise ValueError("spin configuration must have at least one spin")
-        if any(s != 1 and s != -1 for s in self.spins):
+        if any(type(s) is not int or (s != 1 and s != -1) for s in spins):
             raise ValueError("spins must be -1 or +1")
+        object.__setattr__(self, "n", len(spins))
+        object.__setattr__(self, "mask", sum(1 << j for j, s in enumerate(spins) if s == 1))
 
     @classmethod
-    def _unchecked(cls, spins: tuple[int, ...]) -> SpinConfig:
-        """A configuration of spins the caller knows to be valid, built
-        without __post_init__'s scan."""
+    def _unchecked(cls, n: int, mask: int) -> SpinConfig:
+        """The configuration of a valid n-spin mask, built unvalidated."""
         sigma = object.__new__(cls)
-        object.__setattr__(sigma, "spins", spins)
+        object.__setattr__(sigma, "n", n)
+        object.__setattr__(sigma, "mask", mask)
         return sigma
 
     @property
-    def n(self) -> int:
-        return len(self.spins)
+    def spins(self) -> tuple[int, ...]:
+        """The spin sequence, spin 1 first."""
+        return tuple([1 if self.mask >> j & 1 else -1 for j in range(self.n)])
+
+    def _bits(self) -> str:
+        """The spins as '1' (up) and '0' (down): orders as the spins do."""
+        return f"{self.mask:0{self.n}b}"[::-1]
+
+    def __lt__(self, other: SpinConfig) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._bits() < other._bits()
+
+    def __repr__(self) -> str:
+        return f"SpinConfig(spins={self.spins!r})"
 
     def count_plus(self) -> int:
-        return self.spins.count(1)
+        return self.mask.bit_count()
 
     def flipped(self, i: SpinIndex) -> SpinConfig:
         """The configuration with spin i (1-based) negated; ValueError for
         an index outside 1..n."""
-        if not 1 <= i <= len(self.spins):
-            raise ValueError(f"spin index {i} outside 1..{len(self.spins)}")
-        j = i - 1
-        return SpinConfig._unchecked(self.spins[:j] + (-self.spins[j],) + self.spins[j + 1 :])
+        if not 1 <= i <= self.n:
+            raise ValueError(f"spin index {i} outside 1..{self.n}")
+        return SpinConfig._unchecked(self.n, self.mask ^ (1 << (i - 1)))
 
 
 def alpha(n: int) -> SpinConfig:
@@ -156,8 +176,8 @@ def i_plus(sigma: SpinConfig) -> SpinIndex | None:
     >>> i_plus(omega(3)) is None
     True
     """
-    for i, s in enumerate(sigma.spins, start=1):
-        if s == -1:
+    for i in range(1, sigma.n + 1):
+        if not sigma.mask >> (i - 1) & 1:
             return i
     return None
 
@@ -170,7 +190,7 @@ def i_minus(sigma: SpinConfig, rho: Permutation) -> SpinIndex | None:
     """
     _check_same_n(sigma, rho)
     for v in rho.values:
-        if sigma.spins[v - 1] == 1:
+        if sigma.mask >> (v - 1) & 1:
             return v
     return None
 

@@ -19,19 +19,19 @@ Both builders run on vertex masks, bit i-1 set meaning spin i is up: U is
 m | (m + 1), D clears the first set bit in scan order, and an edge's label
 is the one bit of src ^ dst.  `_bfs_maps` and `_forward_maps` return the U-
 and D-successor maps as dicts of masks, which `cli.cmd_verify` checks
-directly; `build_bfs` and `build_forward` turn them into a `PreisachGraph`
-of `SpinConfig` vertices through one view, `_graph_of_maps`.
+directly; `build_bfs` and `build_forward` wrap each mask in a `SpinConfig`,
+which holds it as is, through one view, `_graph_of_maps`.  `_mask_maps`
+reads a built graph's maps back as dicts of masks.
 
 Cycles, absorption, loop return-point memory and loops follow the orbit
 definitions directly.  `build_forward`, `loop_vertices` and `verify_lrpm`
 share one walk over the major sub-cycles of a pair.  The pairs it reaches
 with one lower end lie along that end's U-orbit, and those with one upper
 end along its D-orbit, so it records each orbit once and visits each state
-on it once.  `build_forward` runs the walk on masks, `verify_lrpm` on
-vertex numbers, `loop_vertices` on spin configurations with the maps
-themselves.  Every step function here maps a state to its successor, or to
-None at a fixed point.
-`check_lrpm` stays the literal recursive definition the tests
+on it once.  `build_forward` and `verify_lrpm` run the walk on masks,
+`loop_vertices` on spin configurations with the maps themselves.  Every
+step function here maps a state to its successor, or to None at a fixed
+point.  `check_lrpm` stays the literal recursive definition the tests
 cross-validate `verify_lrpm` against.
 """
 
@@ -119,7 +119,7 @@ class PreisachGraph:
 
     def canonical_vertices(self) -> list[SpinConfig]:
         """Vertices sorted by (+1 count, spin sequence); the serialization order."""
-        return sorted(self.vertices, key=lambda v: (v.count_plus(), v.spins))
+        return sorted(self.vertices, key=lambda v: (v.count_plus(), v._bits()))
 
 
 def edge_label(src: SpinConfig, dst: SpinConfig) -> SpinIndex:
@@ -131,13 +131,10 @@ def edge_label(src: SpinConfig, dst: SpinConfig) -> SpinIndex:
     >>> edge_label(top, g.u_next[top]), edge_label(top, g.d_next[top])
     (3, 2)
     """
-    a, b = src.spins, dst.spins
-    for i, (s, t) in enumerate(zip(a, b), start=1):
-        if s != t:
-            if a[i:] == b[i:] and len(a) == len(b):
-                return i
-            break
-    raise ValueError(f"not an edge: {a} -> {b}")
+    flip = src.mask ^ dst.mask
+    if src.n != dst.n or not flip or flip & (flip - 1):
+        raise ValueError(f"not an edge: {src.spins} -> {dst.spins}")
+    return flip.bit_length()
 
 
 @dataclass(frozen=True)
@@ -280,10 +277,12 @@ def _forward_maps(
 
 def _configs(masks, n: int) -> dict[int, SpinConfig]:
     """The configuration of each vertex mask, on n spins."""
-    bits = [1 << i for i in range(n)]
-    return {
-        m: SpinConfig._unchecked(tuple([1 if m & b else -1 for b in bits])) for m in masks
-    }
+    return {m: SpinConfig._unchecked(n, m) for m in masks}
+
+
+def _mask_maps(g: PreisachGraph) -> tuple[dict[int, int], dict[int, int]]:
+    """g's U- and D-successor maps as dicts of vertex masks."""
+    return tuple({s.mask: t.mask for s, t in m.items()} for m in (g.u_next, g.d_next))
 
 
 def _graph_of_maps(
@@ -322,7 +321,7 @@ def build_forward(rho: Permutation, max_vertices: int = DEFAULT_MAX_VERTICES) ->
     join the two parts.  No vertex outside the duplicated loop is touched.
 
     The graph grows on vertex masks, so the copy of v is v | 1 << (m-1);
-    the SpinConfig vertices are built once, at return.
+    each mask is wrapped in a SpinConfig once, at return.
     Returns a graph equal to build_bfs(rho).
     """
     return _graph_of_maps(rho, *_forward_maps(rho, max_vertices))
@@ -504,25 +503,19 @@ def verify_lrpm(
     so "every reached pair is a cycle" is "every reached pair is an
     absorbing cycle", the recursive definition check_lrpm evaluates.
 
-    The walk runs on the vertices numbered once, visiting each state of
-    each orbit it records once (see _subcycle_walk); a walk on the
-    configurations themselves would hash a spin tuple at every step.  An
+    The walk runs on g's maps read as masks (_mask_maps), not on the
+    configurations, whose __eq__ would run in every orbit scan; it visits
+    each state of each orbit it records once (see _subcycle_walk).  An
     orbit that cycles never reaches its target, and an edge into a state
-    outside g.vertices ends its orbit, so a pair that needs either is not a
-    cycle and the result is False.
+    outside g.vertices, which has no edges of its own, ends its orbit, so a
+    pair that needs either is not a cycle and the result is False.
     """
     mu = g.alpha if mu is None else mu
     nu = g.omega if nu is None else nu
     if mu not in g.vertices or nu not in g.vertices:
         raise ValueError("not a vertex")
-    number = {v: i for i, v in enumerate(g.vertices)}
-
-    def successors(succ: dict[SpinConfig, SpinConfig]) -> list[int | None]:
-        return [number.get(succ.get(v)) for v in number]
-
-    u_succ = successors(g.u_next).__getitem__
-    d_succ = successors(g.d_next).__getitem__
-    return _subcycle_walk(u_succ, d_succ, number[mu], number[nu]) is not None
+    u_next, d_next = _mask_maps(g)
+    return _subcycle_walk(u_next.get, d_next.get, mu.mask, nu.mask) is not None
 
 
 def decompose(

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
 from itertools import product
 
 import pytest
@@ -140,16 +143,45 @@ def test_spin_config_ordering_reads_left_to_right():
 def test_spin_config_rejects_bad_entries():
     with pytest.raises(ValueError):
         SpinConfig((1, 0, -1))
+    # only the ints -1 and +1 are spins, as Permutation takes only ints
+    for bad in ((True, -1), (1.0, -1)):
+        with pytest.raises(ValueError, match="spins must be -1 or"):
+            SpinConfig(bad)
+    # a list is read like a tuple: the result hashes and compares as one
+    from_list, from_tuple = SpinConfig([1, -1]), SpinConfig((1, -1))
+    assert from_list == from_tuple and hash(from_list) == hash(from_tuple)
+    assert from_list in {from_tuple} and not from_list < from_tuple
 
 
 def test_flipped_agrees_with_validated_constructor():
-    # flipped skips __post_init__; its result must be indistinguishable from
-    # a configuration built through the checked constructor
+    # flipped skips the constructor's scan; its result must be
+    # indistinguishable from a configuration built through the checked
+    # constructor, which holds the spins as a mask: bit i-1 set for spin i up
     with pytest.raises(ValueError, match="spins must be -1 or"):
         SpinConfig((0, 1))
     for n in range(1, 5):
-        for spins in product((-1, 1), repeat=n):
+        configs = list(product((-1, 1), repeat=n))
+        for spins in configs:
             sigma = SpinConfig(spins)
+            assert sigma.spins == spins and sigma.n == n
+            assert all((sigma.mask >> (i - 1) & 1) == (spins[i - 1] == 1) for i in range(1, n + 1))
+            assert sigma.mask < 1 << n
+            assert sigma.count_plus() == spins.count(1)
+            assert repr(sigma) == f"SpinConfig(spins={spins!r})"
+            for other in configs:
+                tau = SpinConfig(other)
+                assert (sigma < tau, sigma <= tau, sigma > tau, sigma >= tau) == (
+                    spins < other,
+                    spins <= other,
+                    spins > other,
+                    spins >= other,
+                )
+            for copied in (pickle.loads(pickle.dumps(sigma)), copy.deepcopy(sigma)):
+                assert type(copied) is SpinConfig and copied == sigma
+                assert hash(copied) == hash(sigma) and copied.spins == spins
+            for field in ("n", "mask", "spins"):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(sigma, field, 0)
             for i in range(1, n + 1):
                 flipped = sigma.flipped(i)
                 checked = SpinConfig(spins[: i - 1] + (-spins[i - 1],) + spins[i:])
