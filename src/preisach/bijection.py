@@ -11,14 +11,15 @@ equals the nesting degree of the vertex: the minimal number of alternating
 blocks needed to reach it.
 
 `phi_all` labels every vertex in one breadth-first pass over the graph's
-successor maps read as vertex masks (`_phi_labels`; an edge's label is the
-one bit its endpoints' masks differ in).  `shortest_path` and
+successor maps read as vertex masks: `graph._closure`, the pass that also
+builds the breadth-first graph and raises `UniquenessViolation` (defined
+in `graph`, re-exported here).  `shortest_path` and
 `block_decomposition` are the path-by-path oracle route the tests compare
 it against, and `shortest_path_tree` builds their `LabeledEdge` steps, one
 per tree edge.  `nesting_degree_oracle` is a tree-free oracle: a 0/1
 alternation-cost search over raw map applications on masks
-(`_alternation_masks`).  `cli.cmd_verify` runs the labelling and the search
-on the builders' mask maps.
+(`_alternation_masks`).  `cli.cmd_verify` takes the breadth-first maps and
+phi from one call of that pass and runs the search on masks.
 """
 
 from __future__ import annotations
@@ -32,7 +33,9 @@ from .graph import (
     EdgeKind,
     LabeledEdge,
     PreisachGraph,
+    UniquenessViolation,
     VertexBudgetExceeded,
+    _closure,
     _mask_maps,
     _mask_steppers,
     edge_label,
@@ -57,14 +60,6 @@ __all__ = [
     "alternation_degrees",
     "nesting_degree_oracle",
 ]
-
-
-class UniquenessViolation(RuntimeError):
-    """Two distinct shortest paths reached the same vertex.
-
-    Never expected: shortest paths from alpha are unique.  Raising instead of
-    picking a winner turns that fact into a runtime-checked invariant.
-    """
 
 
 @dataclass(frozen=True)
@@ -219,42 +214,12 @@ def phi(g: PreisachGraph, sigma: SpinConfig) -> IncreasingSubsequence:
 
 
 def phi_all(g: PreisachGraph) -> dict[SpinConfig, IncreasingSubsequence]:
-    """phi for every vertex, labelled on g's successor maps read as masks
-    (see _phi_labels)."""
-    labels = _phi_labels(g.alpha.mask, *_mask_maps(g))
+    """phi for every vertex, labelled by the breadth-first pass (_closure)
+    on g's successor maps read as masks.  Its budget, one more than the
+    edge count, is one no graph can exceed."""
+    u_next, d_next = _mask_maps(g)
+    labels = _closure(g.alpha.mask, u_next.get, d_next.get, 1 + len(u_next) + len(d_next))[2]
     return {SpinConfig._unchecked(g.n, m): IncreasingSubsequence(s) for m, s in labels.items()}
-
-
-def _phi_labels(start: int, u_next: dict[int, int], d_next: dict[int, int]) -> dict:
-    """phi of every vertex mask reachable from start in mask successor
-    maps, in one breadth-first pass that explores U before D from each
-    vertex: a vertex's tree parent is the vertex that first reaches it.  An
-    edge of the parent's tree-edge kind replaces the parent's newest
-    switch-back label; an edge of the other kind prepends one.  The label
-    of an edge v -> t is the one bit v ^ t.
-
-    Raises UniquenessViolation if some vertex is reached by two distinct
-    parents at the same depth.
-    """
-    labels = {start: ()}
-    depth = {start: 0}
-    # a queue entry carries a vertex, its children's depth, its tree-edge
-    # kind and its labels, so a dequeued vertex needs no lookup
-    queue = deque([(start, 1, None, ())])
-    while queue:
-        v, d, tree_kind, s = queue.popleft()
-        for k, succ in ((EdgeKind.U, u_next), (EdgeKind.D, d_next)):
-            t = succ.get(v)
-            if t is None:
-                continue
-            seen = depth.get(t)
-            if seen is None:
-                depth[t] = d
-                st = labels[t] = ((v ^ t).bit_length(),) + (s[1:] if tree_kind is k else s)
-                queue.append((t, d + 1, k, st))
-            elif seen == d:
-                raise UniquenessViolation(f"uniqueness violated: two shortest paths reach {t}")
-    return labels
 
 
 def phi_inverse(g: PreisachGraph, s: IncreasingSubsequence) -> SpinConfig:

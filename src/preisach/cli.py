@@ -16,7 +16,6 @@ from statistics import pstdev
 
 from .bijection import (
     _alternation_masks,
-    _phi_labels,
     nesting_degree,
     nesting_of_graph,
     phi,
@@ -28,7 +27,7 @@ from .graph import (
     EdgeKind,
     PreisachGraph,
     VertexBudgetExceeded,
-    _bfs_maps,
+    _closure,
     _forward_maps,
     _mask_steppers,
     _subcycle_walk,
@@ -242,9 +241,10 @@ def cmd_verify(rho: Permutation, max_vertices: int = DEFAULT_MAX_VERTICES) -> Ve
     both merge identities.
 
     Every check runs on the builders' mask successor maps (bit i-1 of a
-    vertex mask set meaning spin i is up); no graph object is built."""
+    vertex mask set meaning spin i is up); no graph object is built.  One
+    breadth-first pass (graph._closure) gives both the maps and phi."""
     t0 = time.perf_counter()
-    u_next, d_next = _bfs_maps(rho, max_vertices)
+    u_next, d_next, images = _closure(0, *_mask_steppers(rho), max_vertices)
     u_fwd, d_fwd = _forward_maps(rho, max_vertices)
     builders_agree = u_next == u_fwd and d_next == d_fwd
     # every vertex but omega has a U-edge
@@ -253,7 +253,6 @@ def cmd_verify(rho: Permutation, max_vertices: int = DEFAULT_MAX_VERTICES) -> Ve
     count = count_increasing(rho)
     cardinality_ok = vertex_count == count
 
-    images = _phi_labels(0, u_next, d_next)
     expected = enumerate_increasing(rho, max_items=max(count, 1)).value_tuples()
     got = set(images.values())
     bijection_ok = (
@@ -373,8 +372,9 @@ def cmd_stats(
 ) -> StatsReport:
     """Sample permutations, report the LIS mean and population stddev, and,
     for every sample whose graph fits the vertex budget (decided exactly via
-    count_increasing before building), confirm graph nesting = LIS on the
-    breadth-first mask maps, as cmd_verify does.  A budget below 1 raises
+    count_increasing before building), confirm graph nesting = LIS from
+    the phi labels of one breadth-first pass on masks, the pass cmd_verify
+    uses.  A budget below 1 raises
     VertexBudgetExceeded, as the builders do."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -387,8 +387,8 @@ def cmd_stats(
         lis = lis_patience(rho)
         lis_values.append(lis)
         if count_increasing(rho) <= max_vertices:
-            u_next, d_next = _bfs_maps(rho, max_vertices)
-            if max(map(len, _phi_labels(0, u_next, d_next).values())) != lis:
+            images = _closure(0, *_mask_steppers(rho), max_vertices)[2]
+            if max(map(len, images.values())) != lis:
                 raise RuntimeError(
                     f"graph nesting != LIS for {rho.values}"
                 )

@@ -17,11 +17,16 @@ checks this exhaustively for small sizes.
 
 Both builders run on vertex masks, bit i-1 set meaning spin i is up: U is
 m | (m + 1), D clears the first set bit in scan order, and an edge's label
-is the one bit of src ^ dst.  `_bfs_maps` and `_forward_maps` return the U-
-and D-successor maps as dicts of masks, which `cli.cmd_verify` checks
-directly; `build_bfs` and `build_forward` wrap each mask in a `SpinConfig`,
-which holds it as is, through one view, `_graph_of_maps`.  `_mask_maps`
-reads a built graph's maps back as dicts of masks.
+is the one bit of src ^ dst.  `_closure` is the one breadth-first pass: it
+closes a start state under two step functions and returns the U- and
+D-successor maps together with phi of every vertex, read off the
+shortest-path tree as the pass dequeues it, raising `UniquenessViolation`
+where two shortest paths meet.  `_forward_maps` returns the forward
+builder's maps.  `cli.cmd_verify` checks these dicts of masks directly;
+`build_bfs` and `build_forward` wrap each mask in a `SpinConfig`, which
+holds it as is, through one view, `_graph_of_maps`.  `_mask_maps` reads a
+built graph's maps back as dicts of masks, which `bijection.phi_all` labels
+with the same pass.
 
 Cycles, absorption, loop return-point memory and loops follow the orbit
 definitions directly.  `build_forward`, `loop_vertices` and `verify_lrpm`
@@ -47,6 +52,7 @@ from .core import Permutation, SpinConfig, SpinIndex, i_minus, i_plus
 __all__ = [
     "DEFAULT_MAX_VERTICES",
     "VertexBudgetExceeded",
+    "UniquenessViolation",
     "EdgeKind",
     "LabeledEdge",
     "PreisachGraph",
@@ -73,6 +79,14 @@ DEFAULT_MAX_VERTICES = 1 << 20
 
 class VertexBudgetExceeded(RuntimeError):
     """A construction would create more vertices than the allowed budget."""
+
+
+class UniquenessViolation(RuntimeError):
+    """Two distinct shortest paths reached the same vertex.
+
+    Never expected: shortest paths from alpha are unique.  Raising instead of
+    picking a winner turns that fact into a runtime-checked invariant.
+    """
 
 
 class EdgeKind(enum.Enum):
@@ -180,8 +194,9 @@ def _chain(step: Step[S], start: S, target: S | None = None) -> list[S] | None:
     return out
 
 
-def _charge(vertices: set, max_vertices: int) -> None:
-    if len(vertices) + 1 > max_vertices:
+def _charge(count: int, max_vertices: int) -> None:
+    """Raise VertexBudgetExceeded if a graph of count vertices is over budget."""
+    if count > max_vertices:
         raise VertexBudgetExceeded(
             f"vertex budget exceeded: graph needs more than {max_vertices} vertices"
         )
@@ -206,40 +221,53 @@ def _mask_steppers(rho: Permutation) -> tuple[Step[int], Step[int]]:
     return u_step, d_step
 
 
-def _bfs_maps(
-    rho: Permutation, max_vertices: int = DEFAULT_MAX_VERTICES
-) -> tuple[dict[int, int], dict[int, int]]:
-    """build_bfs on vertex masks: the U- and D-successor maps of the closure
-    of alpha (mask 0), U explored before D from each dequeued vertex."""
+def _closure(
+    start: int, u_step: Step[int], d_step: Step[int], max_vertices: int
+) -> tuple[dict[int, int], dict[int, int], dict[int, tuple[int, ...]]]:
+    """Close {start} under two steps on vertex masks, breadth-first, U
+    explored before D from each dequeued vertex: the U- and D-successor maps
+    and phi of every vertex, in one pass.
+
+    A vertex's tree parent is the vertex that first reaches it, so the tree
+    path is its shortest path.  An edge of the parent's tree-edge kind
+    replaces the parent's newest switch-back label; an edge of the other
+    kind prepends one.  The label of an edge v -> t is the one bit v ^ t.
+    Raises VertexBudgetExceeded past max_vertices vertices, and
+    UniquenessViolation if some vertex is reached by two distinct parents
+    at the same depth.
+    """
     if max_vertices < 1:
         raise VertexBudgetExceeded("vertex budget exceeded: budget is empty")
-    u_step, d_step = _mask_steppers(rho)
     u_next: dict[int, int] = {}
     d_next: dict[int, int] = {}
-    vertices = {0}
-    queue = deque([0])
+    labels = {start: ()}
+    depth = {start: 0}
+    # a queue entry carries a vertex, its children's depth, its tree-edge
+    # kind (the map its tree edge is in) and its labels
+    queue = deque([(start, 1, None, ())])
     while queue:
-        v = queue.popleft()
+        v, d, tree_kind, s = queue.popleft()
         for step, succ in ((u_step, u_next), (d_step, d_next)):
             t = step(v)
             if t is None:
                 continue
             succ[v] = t
-            if t not in vertices:
-                _charge(vertices, max_vertices)
-                vertices.add(t)
-                queue.append(t)
-    return u_next, d_next
+            seen = depth.get(t)
+            if seen is None:
+                _charge(len(depth) + 1, max_vertices)
+                depth[t] = d
+                st = labels[t] = ((v ^ t).bit_length(),) + (s[1:] if tree_kind is succ else s)
+                queue.append((t, d + 1, succ, st))
+            elif seen == d:
+                raise UniquenessViolation(f"uniqueness violated: two shortest paths reach {t}")
+    return u_next, d_next, labels
 
 
 def _forward_maps(
     rho: Permutation, max_vertices: int = DEFAULT_MAX_VERTICES
 ) -> tuple[dict[int, int], dict[int, int]]:
     """build_forward on vertex masks: the U- and D-successor maps."""
-    if max_vertices < 2:
-        raise VertexBudgetExceeded(
-            f"vertex budget exceeded: graph needs more than {max_vertices} vertices"
-        )
+    _charge(2, max_vertices)
     # every vertex but the current top has a U-edge, so |V| = len(u_next) + 1
     u_next = {0: 1}
     d_next = {1: 0}
@@ -251,10 +279,7 @@ def _forward_maps(
         for _ in range(k - 1):
             bottom = d_next[bottom]
         loop = _loop_union(u_next.get, d_next.get, bottom, top)
-        if len(u_next) + 1 + len(loop) > max_vertices:
-            raise VertexBudgetExceeded(
-                f"vertex budget exceeded: graph needs more than {max_vertices} vertices"
-            )
+        _charge(len(u_next) + 1 + len(loop), max_vertices)
 
         bit = 1 << (m - 1)
         for v in loop:
@@ -305,8 +330,9 @@ def _graph_of_maps(
 def build_bfs(rho: Permutation, max_vertices: int = DEFAULT_MAX_VERTICES) -> PreisachGraph:
     """Close {alpha} under the two maps, recording every non-fixed-point
     transition as an edge.  From each dequeued vertex the U-successor
-    is explored before the D-successor."""
-    return _graph_of_maps(rho, *_bfs_maps(rho, max_vertices))
+    is explored before the D-successor.  The pass also labels phi (see
+    _closure); the labels are dropped before the masks are wrapped."""
+    return _graph_of_maps(rho, *_closure(0, *_mask_steppers(rho), max_vertices)[:2])
 
 
 def build_forward(rho: Permutation, max_vertices: int = DEFAULT_MAX_VERTICES) -> PreisachGraph:
@@ -459,16 +485,16 @@ def _subcycle_walk(u_succ: Step, d_succ: Step, mu, nu) -> set | None:
         j = None if i is None else down.position(d_succ, m)
         if j is None:
             return None
+        # index i of the U-record is v and index j of the D-record is m:
+        # the child there is (m, v) itself, so it is added but not pushed
         if i >= up.pushed:
-            new = up.states[up.pushed : i + 1]
+            verts.update(up.states[up.pushed : i + 1])
+            stack += [(m, u) for u in up.states[up.pushed : i]]
             up.pushed = i + 1
-            verts.update(new)
-            stack += [(m, u) for u in new]
         if j >= down.pushed:
-            new = down.states[down.pushed : j + 1]
+            verts.update(down.states[down.pushed : j + 1])
+            stack += [(w, v) for w in down.states[down.pushed : j]]
             down.pushed = j + 1
-            verts.update(new)
-            stack += [(w, v) for w in new]
     return verts
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 
 from preisach import (
     EdgeKind,
+    Path,
     PreisachGraph,
     SpinConfig,
     UniquenessViolation,
@@ -33,9 +34,9 @@ from preisach import (
     shortest_path,
     shortest_path_tree,
 )
-from preisach.bijection import _alternation_masks, _phi_labels
+from preisach.bijection import _alternation_masks, _edges_to
 from preisach.cli import random_permutation
-from preisach.graph import _bfs_maps, _configs
+from preisach.graph import DEFAULT_MAX_VERTICES, _closure, _configs, _mask_steppers
 from strategies import permutations_st
 
 RHO231 = make_permutation([2, 3, 1])
@@ -84,6 +85,13 @@ def test_uniqueness_tripwire_fires_on_a_forged_graph():
     for labelling in (shortest_path_tree, phi_all):
         with pytest.raises(UniquenessViolation, match="uniqueness violated"):
             labelling(g)
+
+
+def test_breadth_first_pass_fires_on_forged_steps():
+    # the same diamond as step functions on masks: 00 -> 01 -> 11 and 00 -> 10 -> 11
+    u_next, d_next = {0b00: 0b01, 0b01: 0b11, 0b10: 0b11}, {0b00: 0b10}
+    with pytest.raises(UniquenessViolation, match="uniqueness violated"):
+        _closure(0b00, u_next.get, d_next.get, 4)
 
 
 def test_block_decomposition_empty():
@@ -178,6 +186,12 @@ def test_nesting_of_graph_examples():
     assert nesting_of_graph(build_bfs(make_permutation([4, 3, 2, 1]))) == 1
 
 
+def _tree_paths(g):
+    """The shortest path to every vertex, read from one shortest-path tree."""
+    tree = shortest_path_tree(g)
+    return {v: Path(g.alpha, _edges_to(tree, g.alpha, v), v) for v in g.vertices}
+
+
 def _assert_bijection(rho):
     g = build_bfs(rho)
     images = phi_all(g)
@@ -187,24 +201,27 @@ def _assert_bijection(rho):
     assert value_sets == enumerate_increasing(rho).value_tuples()
     assert len(g.vertices) == count_increasing(rho)
     oracle = alternation_degrees(rho)
+    paths = _tree_paths(g)
     for v in g.vertices:
-        path_labels = block_decomposition(shortest_path(g, v)).labels
+        path_labels = block_decomposition(paths[v]).labels
         assert images[v].values == tuple(reversed(path_labels))
         assert len(images[v]) == degrees[v] == oracle[v]
         assert phi_inverse(g, images[v]) == v
         assert phi_inverse_constructive(rho, images[v]) == v
     assert max(degrees.values()) == lis_patience(rho)
+    return g, paths
 
 
 def test_bijection_exhaustive_small():
     for n in range(1, 6):
         for values in permutations(range(1, n + 1)):
-            _assert_bijection(make_permutation(values))
+            g, paths = _assert_bijection(make_permutation(values))
+            for v, path in paths.items():
+                assert shortest_path(g, v) == path
 
 
 def _assert_mask_labels_match_view(rho):
-    u_next, d_next = _bfs_maps(rho)
-    labels = _phi_labels(0, u_next, d_next)
+    labels = _closure(0, *_mask_steppers(rho), DEFAULT_MAX_VERTICES)[2]
     degrees = _alternation_masks(rho)
     config = _configs(labels.keys() | degrees.keys(), rho.n)
     assert {config[m]: s for m, s in labels.items()} == {

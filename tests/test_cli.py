@@ -171,13 +171,13 @@ def test_cmd_verify_checks_builder_agreement_on_masks(monkeypatch):
 def test_cmd_verify_checks_lrpm_on_masks(monkeypatch):
     # the same forgery as test_verify_lrpm_rejects_forged_graph, on the
     # breadth-first maps: (alpha, omega) is a cycle, (+--, ++-) is not
-    real = preisach.cli._bfs_maps
+    real = preisach.cli._closure
 
-    def forged(rho, max_vertices):
-        u_next, d_next = real(rho, max_vertices)
-        return u_next, {**d_next, 0b011: 0b000}
+    def forged(start, u_step, d_step, max_vertices):
+        u_next, d_next, labels = real(start, u_step, d_step, max_vertices)
+        return u_next, {**d_next, 0b011: 0b000}, labels
 
-    monkeypatch.setattr(preisach.cli, "_bfs_maps", forged)
+    monkeypatch.setattr(preisach.cli, "_closure", forged)
     report = cmd_verify(RHO231)
     assert not report.lrpm_ok and not report.passed()
 
