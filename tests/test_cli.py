@@ -13,7 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import preisach.cli
-from preisach import SpinConfig, VertexBudgetExceeded, alpha, build_bfs, make_permutation
+from preisach import (
+    SpinConfig,
+    VertexBudgetExceeded,
+    alpha,
+    build_bfs,
+    count_increasing,
+    make_permutation,
+)
 from preisach.cli import (
     cmd_stats,
     cmd_verify,
@@ -224,6 +231,22 @@ def test_cmd_stats_counts_confirmed_graphs():
 
 def test_cmd_stats_reproducible():
     assert cmd_stats(30, 20, 11) == cmd_stats(30, 20, 11)
+
+
+def test_cmd_stats_budget_boundary():
+    # a graph of exactly max_vertices vertices fits; one more does not
+    seed = 5
+    c = count_increasing(random_permutation(12, seed, 0))
+    assert cmd_stats(12, 1, seed, max_vertices=c).nesting_checked == 1
+    assert cmd_stats(12, 1, seed, max_vertices=c - 1).nesting_checked == 0
+
+
+def test_cli_stats_output_matches_readme(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    command = "$ preisach stats --n 400 --samples 200 --seed 7\n"
+    example = readme.split(command, 1)[1].split("```", 1)[0].strip()
+    assert main(["stats", "--n", "400", "--samples", "200", "--seed", "7"]) == 0
+    assert capsys.readouterr().out.splitlines() == example.splitlines()
 
 
 @pytest.mark.parametrize("budget", [0, -5])

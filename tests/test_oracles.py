@@ -19,6 +19,26 @@ from strategies import permutations_st
 RHO231 = make_permutation([2, 3, 1])
 
 
+def _count_quadratic(rho):
+    """Reference for count_increasing: the quadratic recurrence.
+
+    f(i) counts the subsequences ending at position i: 1 plus f(j) over
+    every earlier position j with a smaller value.  The 1 added to their
+    sum is the empty subsequence.
+    """
+    values = rho.values
+    n = rho.n
+    ending = [0] * n
+    for i in range(n):
+        v = values[i]
+        total = 1
+        for j in range(i):
+            if values[j] < v:
+                total += ending[j]
+        ending[i] = total
+    return 1 + sum(ending)
+
+
 def test_enumerate_fig_instance():
     assert enumerate_increasing(RHO231).value_tuples() == {
         (),
@@ -53,10 +73,27 @@ def test_count_fig_instance():
 def test_count_identity_is_power_of_two():
     assert count_increasing(make_permutation(range(1, 11))) == 1024
     assert count_increasing(make_permutation(range(1, 65))) == 2**64
+    assert count_increasing(make_permutation(range(1, 201))) == 2**200
 
 
 def test_count_reversal():
     assert count_increasing(make_permutation(range(10, 0, -1))) == 11
+    assert count_increasing(make_permutation(range(200, 0, -1))) == 201
+
+
+def test_count_equals_quadratic_and_enumeration_exhaustive():
+    for n in range(1, 8):
+        for values in permutations(range(1, n + 1)):
+            rho = make_permutation(values)
+            count = count_increasing(rho)
+            assert count == _count_quadratic(rho), values
+            assert count == len(enumerate_increasing(rho)), values
+
+
+@settings(deadline=None)
+@given(permutations_st(max_n=200))
+def test_count_equals_quadratic_random(rho):
+    assert count_increasing(rho) == _count_quadratic(rho)
 
 
 def test_lis_patience_examples():
@@ -96,6 +133,7 @@ def test_enumeration_count_and_max_length_agree(rho):
     assert max(len(s) for s in subs.items) == lis_patience(rho)
 
 
-@given(permutations_st(max_n=10))
+@settings(deadline=None)
+@given(permutations_st(max_n=200))
 def test_count_is_inversion_invariant(rho):
     assert count_increasing(rho) == count_increasing(invert(rho))
