@@ -20,6 +20,14 @@ per tree edge.  `nesting_degree_oracle` is a tree-free oracle: a 0/1
 alternation-cost search over raw map applications on masks
 (`_alternation_masks`).  `cli.cmd_verify` takes the breadth-first maps and
 phi from one call of that pass and runs the search on masks.
+
+`Staircase` is phi and its inverse in closed form: a vertex is a nested
+staircase of U- and D-wipes, one per subsequence value, so encoding a
+subsequence and decoding a vertex mask take no graph.  `cmd_verify` checks
+the breadth-first labels by encoding them back, and the CLI's `phi`,
+`phi-inverse` and `nesting --vertex` answer through it.  `phi_inverse` (the
+table of `phi_all`) and `phi_inverse_constructive` (the walk from alpha)
+are its oracles in the tests.
 """
 
 from __future__ import annotations
@@ -45,6 +53,7 @@ __all__ = [
     "UniquenessViolation",
     "IncreasingSubsequence",
     "increasing_subsequence",
+    "Staircase",
     "Path",
     "BlockDecomposition",
     "shortest_path_tree",
@@ -92,6 +101,94 @@ def increasing_subsequence(values, rho: Permutation) -> IncreasingSubsequence:
             raise ValueError(f"not an increasing subsequence of {rho.values}: {vals}")
         last_v, last_p = v, p
     return IncreasingSubsequence(vals)
+
+
+class Staircase:
+    """phi and its inverse for one permutation, read off the vertex mask.
+
+    A U-block of a shortest path that ends by flipping spin s sets every
+    spin <= s up, and a D-block that ends by flipping s sets down every spin
+    at a position <= pos(s) in rho; no other spin changes.  So the vertex of
+    s_1 < ... < s_k is alpha with these wipes applied for s_k, s_{k-1}, ...,
+    s_1, a U-wipe first: a nested staircase, as in the memory of the
+    Preisach model.  `encode` applies the wipes; `decode` reads them back
+    from the outside in: the up spin of largest value, then, among the
+    spins of smaller value and position, the down spin of largest
+    position, and so on, alternating, until no spin qualifies.
+
+    decode(encode(s)) == s for every increasing subsequence s, and decode
+    maps any mask to one, so encode(decode(m)) == m exactly when m is a
+    vertex.  The tests check both against the breadth-first phi and the
+    constructive walk (phi_inverse_constructive).
+
+    >>> code = Staircase(Permutation((2, 3, 1)))
+    >>> bin(code.encode((2, 3)))  # U-wipe at 3: +++; D-wipe at 2, position 1: +-+
+    '0b101'
+    >>> code.decode(0b101)
+    (2, 3)
+    >>> [m for m in range(8) if code.encode(code.decode(m)) == m]
+    [0, 1, 3, 5, 7]
+    >>> code.decode(0b010), bin(code.encode((2,)))  # -+- is no vertex
+    ((2,), '0b11')
+    """
+
+    __slots__ = ("_values", "_pos", "_prefix")
+
+    def __init__(self, rho: Permutation) -> None:
+        self._values = rho.values
+        # pos[v] is the 1-based position of value v; prefix[p] the bits of rho_1..rho_p
+        self._pos = {v: p for p, v in enumerate(rho.values, 1)}
+        self._prefix = [0]
+        for v in rho.values:
+            self._prefix.append(self._prefix[-1] | 1 << (v - 1))
+
+    def encode(self, values) -> int:
+        """The vertex mask of the increasing subsequence `values`, in O(k).
+        Raises ValueError if `values` is not one."""
+        pos, prefix = self._pos, self._prefix
+        mask = 0
+        up = True
+        v_bound = p_bound = len(self._values) + 1
+        for s in reversed(values):
+            p = pos.get(s)
+            if p is None or s >= v_bound or p >= p_bound:
+                raise ValueError(
+                    f"not an increasing subsequence of {self._values}: {tuple(values)}"
+                )
+            if up:
+                mask |= (1 << s) - 1
+            else:
+                mask &= ~prefix[p]
+            up = not up
+            v_bound, p_bound = s, p
+        return mask
+
+    def decode(self, mask: int) -> tuple[int, ...]:
+        """The increasing subsequence whose staircase `mask` shows; phi of
+        the mask if it is a vertex.  An up spin is found by bit arithmetic,
+        a down spin by scanning positions downwards; the scans cover
+        disjoint ranges of positions, so the whole decode is O(n)."""
+        values, pos, prefix = self._values, self._pos, self._prefix
+        found: list[int] = []
+        v_bound = p_bound = len(values) + 1
+        up = True
+        while True:
+            if up:
+                s = (mask & ((1 << (v_bound - 1)) - 1) & prefix[p_bound - 1]).bit_length()
+            else:
+                s = 0
+                for p in range(p_bound - 1, 0, -1):
+                    v = values[p - 1]
+                    if v < v_bound and not mask >> (v - 1) & 1:
+                        s = v
+                        break
+            if not s:
+                break
+            found.append(s)
+            v_bound, p_bound = s, pos[s]
+            up = not up
+        found.reverse()
+        return tuple(found)
 
 
 @dataclass(frozen=True)

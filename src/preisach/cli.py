@@ -15,11 +15,10 @@ from itertools import permutations as all_permutations
 from statistics import pstdev
 
 from .bijection import (
+    Staircase,
     _alternation_masks,
-    nesting_degree,
+    increasing_subsequence,
     nesting_of_graph,
-    phi,
-    phi_inverse,
 )
 from .core import Permutation, SpinConfig, alpha, make_permutation, omega
 from .graph import (
@@ -27,6 +26,7 @@ from .graph import (
     EdgeKind,
     PreisachGraph,
     VertexBudgetExceeded,
+    _charge,
     _closure,
     _forward_maps,
     _mask_steppers,
@@ -35,7 +35,7 @@ from .graph import (
     merge_identity_bottom,
     merge_identity_top,
 )
-from .oracles import ItemBudgetExceeded, count_increasing, enumerate_increasing, lis_patience
+from .oracles import ItemBudgetExceeded, count_increasing, lis_patience
 
 __all__ = [
     "VerifyReport",
@@ -242,7 +242,15 @@ def cmd_verify(rho: Permutation, max_vertices: int = DEFAULT_MAX_VERTICES) -> Ve
 
     Every check runs on the builders' mask successor maps (bit i-1 of a
     vertex mask set meaning spin i is up); no graph object is built.  One
-    breadth-first pass (graph._closure) gives both the maps and phi."""
+    breadth-first pass (graph._closure) gives both the maps and phi.
+
+    phi is checked without listing the increasing subsequences.  Every
+    vertex has a label, and Staircase.encode takes each label back to the
+    vertex it labels; encode raises unless its argument is an increasing
+    subsequence.  So phi maps into the increasing subsequences, and it is
+    injective, because equal labels encode to equal masks.  Both sets are
+    finite, and of equal size when vertex_count == count_increasing(rho),
+    so phi is then onto as well."""
     t0 = time.perf_counter()
     u_next, d_next, images = _closure(0, *_mask_steppers(rho), max_vertices)
     u_fwd, d_fwd = _forward_maps(rho, max_vertices)
@@ -253,11 +261,16 @@ def cmd_verify(rho: Permutation, max_vertices: int = DEFAULT_MAX_VERTICES) -> Ve
     count = count_increasing(rho)
     cardinality_ok = vertex_count == count
 
-    expected = enumerate_increasing(rho, max_items=max(count, 1)).value_tuples()
-    got = set(images.values())
+    encode = Staircase(rho).encode
+    try:
+        encodes = len(images) == vertex_count and all(
+            encode(s) == m for m, s in images.items()
+        )
+    except ValueError:  # a label that is no increasing subsequence
+        encodes = False
     bijection_ok = (
-        len(got) == vertex_count
-        and got == expected
+        cardinality_ok
+        and encodes
         and {m: len(s) for m, s in images.items()}
         == _alternation_masks(rho, max_vertices)
     )
@@ -463,31 +476,48 @@ def _cmd_export_json(args: argparse.Namespace) -> int:
     return 0
 
 
+def _charge_graph(rho: Permutation, max_vertices: int) -> None:
+    """Raise VertexBudgetExceeded, with the same message, exactly where
+    build_bfs(rho, max_vertices) would, without building: the graph has
+    count_increasing(rho) vertices."""
+    if max_vertices < 1:
+        raise VertexBudgetExceeded("vertex budget exceeded: budget is empty")
+    _charge(count_increasing(rho), max_vertices)
+
+
+def _phi_of(rho: Permutation, text: str) -> tuple[int, ...]:
+    """phi of the vertex given as a sign string, by the staircase codec."""
+    sigma = parse_config(text, rho.n)
+    code = Staircase(rho)
+    s = code.decode(sigma.mask)
+    if code.encode(s) != sigma.mask:
+        raise ValueError(f"not a vertex: {sigma.spins}")
+    return s
+
+
 def _cmd_phi(args: argparse.Namespace) -> int:
     rho = parse_permutation(args.perm)
-    g = build_bfs(rho, args.max_vertices)
-    sigma = parse_config(args.vertex, rho.n)
-    _write_out(_format_subseq(phi(g, sigma).values), args.out)
+    _charge_graph(rho, args.max_vertices)
+    _write_out(_format_subseq(_phi_of(rho, args.vertex)), args.out)
     return 0
 
 
 def _cmd_phi_inverse(args: argparse.Namespace) -> int:
-    from .bijection import increasing_subsequence
-
     rho = parse_permutation(args.perm)
-    g = build_bfs(rho, args.max_vertices)
+    _charge_graph(rho, args.max_vertices)
     s = increasing_subsequence(_parse_subseq(args.subseq), rho)
-    _write_out(format_config(phi_inverse(g, s)), args.out)
+    mask = Staircase(rho).encode(s.values)
+    _write_out(format_config(SpinConfig._unchecked(rho.n, mask)), args.out)
     return 0
 
 
 def _cmd_nesting(args: argparse.Namespace) -> int:
     rho = parse_permutation(args.perm)
-    g = build_bfs(rho, args.max_vertices)
     if args.vertex is None:
-        value = nesting_of_graph(g)
+        value = nesting_of_graph(build_bfs(rho, args.max_vertices))
     else:
-        value = nesting_degree(g, parse_config(args.vertex, rho.n))
+        _charge_graph(rho, args.max_vertices)
+        value = len(_phi_of(rho, args.vertex))
     _write_out(str(value), args.out)
     return 0
 

@@ -4,12 +4,14 @@ from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from preisach import (
     EdgeKind,
     Path,
     PreisachGraph,
     SpinConfig,
+    Staircase,
     UniquenessViolation,
     alpha,
     alternation_degrees,
@@ -259,3 +261,56 @@ def test_switchback_labels_strictly_decrease(rho):
     for sigma in g.vertices:
         labels = block_decomposition(shortest_path(g, sigma)).labels
         assert all(a > b for a, b in zip(labels, labels[1:]))
+
+
+def test_staircase_matches_breadth_first_phi_exhaustive_small():
+    # decode is phi on every vertex, encode inverts it, and encode(decode(c))
+    # == c holds for exactly the vertices among all 2^n configurations
+    for n in range(1, 8):
+        for values in permutations(range(1, n + 1)):
+            rho = make_permutation(values)
+            code = Staircase(rho)
+            labels = _closure(0, *_mask_steppers(rho), DEFAULT_MAX_VERTICES)[2]
+            for c in range(1 << n):
+                s = code.decode(c)
+                if c in labels:
+                    assert s == labels[c] and code.encode(s) == c
+                else:
+                    assert code.encode(s) != c
+
+
+@st.composite
+def _subsequences(draw, max_n: int):
+    """A permutation and one of its increasing subsequences: the values at
+    drawn positions that rise above every value taken before them."""
+    rho = draw(permutations_st(max_n=max_n))
+    picks = draw(st.lists(st.booleans(), min_size=rho.n, max_size=rho.n))
+    values: list[int] = []
+    for v, pick in zip(rho.values, picks):
+        if pick and (not values or v > values[-1]):
+            values.append(v)
+    return rho, tuple(values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_subsequences(max_n=24), st.data())
+def test_staircase_round_trip_wide(case, data):
+    # no graph: the constructive walk from alpha stands for phi inverse
+    rho, s = case
+    code = Staircase(rho)
+    mask = code.encode(s)
+    assert code.decode(mask) == s
+    assert mask == phi_inverse_constructive(rho, increasing_subsequence(s, rho)).mask
+    # any configuration decodes to an increasing subsequence, whose vertex
+    # decodes back to it
+    c = data.draw(st.integers(0, (1 << rho.n) - 1))
+    t = code.decode(c)
+    increasing_subsequence(t, rho)
+    assert code.decode(code.encode(t)) == t
+
+
+def test_staircase_encode_rejects_non_subsequences():
+    code = Staircase(RHO231)
+    for bad in [(3, 2), (3, 1), (1, 3), (2, 2), (4,), (0,), (-1,), (2, 4)]:
+        with pytest.raises(ValueError, match="not an increasing subsequence"):
+            code.encode(bad)

@@ -22,6 +22,8 @@ from preisach import (
     make_permutation,
 )
 from preisach.cli import (
+    _closure,
+    _mask_steppers,
     cmd_stats,
     cmd_verify,
     cmd_verify_all,
@@ -189,6 +191,37 @@ def test_cmd_verify_checks_lrpm_on_masks(monkeypatch):
     assert not report.lrpm_ok and not report.passed()
 
 
+def _forge_labels(monkeypatch, relabel):
+    """Make cmd_verify see the breadth-first labels with those of relabel,
+    keyed by vertex mask, in their place."""
+    real = preisach.cli._closure
+
+    def forged(start, u_step, d_step, max_vertices):
+        u_next, d_next, labels = real(start, u_step, d_step, max_vertices)
+        return u_next, d_next, {**labels, **relabel}
+
+    monkeypatch.setattr(preisach.cli, "_closure", forged)
+
+
+def test_cmd_verify_rejects_swapped_labels(monkeypatch):
+    # +-- and ++- swap labels: the same set of labels, the same lengths,
+    # but no longer phi
+    labels = _closure(0, *_mask_steppers(RHO231), 8)[2]
+    assert (labels[0b001], labels[0b011]) == ((1,), (2,))
+    _forge_labels(monkeypatch, {0b001: (2,), 0b011: (1,)})
+    report = cmd_verify(RHO231)
+    assert report.cardinality_ok and report.builders_agree and report.lrpm_ok
+    assert not report.bijection_ok and not report.passed()
+
+
+@pytest.mark.parametrize("label", [(3, 2), (3, 1), (1, 3), (4,), (0,), (-1,), (2, 2)])
+def test_cmd_verify_rejects_a_label_that_is_no_subsequence(monkeypatch, label):
+    # +-+ is labelled (2, 3); a length-2 forgery keeps the alternation check quiet
+    _forge_labels(monkeypatch, {0b101: label})
+    report = cmd_verify(RHO231)
+    assert not report.bijection_ok and not report.passed()
+
+
 def test_cmd_verify_all_small():
     summary = cmd_verify_all(3)
     assert summary.checked == 6 and not summary.failures
@@ -277,6 +310,60 @@ def test_cli_phi_round_trip(capsys):
     assert capsys.readouterr().out.strip() == "()"
     assert main(["phi-inverse", "--perm", "2,3,1", "--subseq", "()"]) == 0
     assert capsys.readouterr().out.strip() == "---"
+
+
+@pytest.mark.parametrize(
+    "argv, answer",
+    [
+        (["phi", "--vertex", "+++-+"], "2,4,5"),
+        (["phi-inverse", "--subseq", "2,4,5"], "+++-+"),
+        (["nesting", "--vertex", "+++-+"], "3"),
+    ],
+    ids=["phi", "phi-inverse", "nesting-vertex"],
+)
+def test_cli_codec_commands_keep_the_graph_budget(argv, answer, capsys):
+    # no graph is built, but the budget is charged with its vertex count,
+    # with build_bfs's exit code and message at every budget
+    rho = make_permutation([2, 4, 3, 5, 1])
+    c = count_increasing(rho)
+    for budget in (0, -1, c - 1, c):
+        assert main([*argv, "--perm", "2,4,3,5,1", "--max-vertices", str(budget)]) == (
+            0 if budget == c else 3
+        )
+        out, err = capsys.readouterr()
+        if budget == c:
+            assert (out, err) == (answer + "\n", "")
+            continue
+        with pytest.raises(VertexBudgetExceeded) as exc:
+            build_bfs(rho, budget)
+        assert (out, err) == ("", f"error: {exc.value}\n")
+
+
+def test_cli_codec_commands_reject_non_vertices_and_non_subsequences(capsys):
+    for argv, message in [
+        (["phi", "--vertex=-+-"], "not a vertex: (-1, 1, -1)"),
+        (["nesting", "--vertex=-+-"], "not a vertex: (-1, 1, -1)"),
+        (["phi", "--vertex", "++"], "expected 3 spins"),
+        (["phi-inverse", "--subseq", "3,2"], "not an increasing subsequence"),
+        (["phi-inverse", "--subseq", "1,3"], "not an increasing subsequence"),
+        (["phi-inverse", "--subseq", "4"], "value 4 out of range"),
+        (["phi-inverse", "--subseq", "x"], "invalid literal"),
+    ]:
+        assert main([*argv, "--perm", "2,3,1"]) == 2, argv
+        assert message in capsys.readouterr().err, argv
+
+
+def test_cli_codec_commands_answer_on_identity_64(capsys):
+    # 2^64 vertices: the budget admits the graph, and no graph is built
+    perm = ",".join(map(str, range(1, 65)))
+    budget = ["--perm", perm, "--max-vertices", str(1 << 64)]
+    assert main(["phi", "--vertex", "+" * 64, *budget]) == 0
+    assert capsys.readouterr().out == "64\n"
+    assert main(["phi-inverse", "--subseq", perm, *budget]) == 0
+    vertex = capsys.readouterr().out.strip()
+    assert vertex == "-+" * 32
+    assert main(["nesting", f"--vertex={vertex}", *budget]) == 0
+    assert capsys.readouterr().out == "64\n"
 
 
 def test_cli_verify_output(capsys):

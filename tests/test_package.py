@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import ast
 import importlib
+import inspect
 
 import pytest
 
@@ -14,3 +16,15 @@ def test_all_names_resolve(module):
     namespace: dict = {}
     exec(f"from preisach.{module} import *", namespace)
     assert set(mod.__all__) <= namespace.keys()
+
+
+def test_cli_does_not_call_the_enumeration_oracles():
+    # enumerate_increasing and the phi_inverse table stay test oracles;
+    # production checks and answers phi through the staircase codec
+    import preisach.cli
+
+    tree = ast.parse(inspect.getsource(preisach.cli))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {node.name for node in ast.walk(tree) if isinstance(node, ast.alias)}
+    assert not names & {"enumerate_increasing", "phi_inverse"}
