@@ -2,7 +2,6 @@
 
 from .bijection import (
     BlockDecomposition,
-    IncreasingSubsequence,
     Path,
     Staircase,
     UniquenessViolation,
@@ -56,7 +55,6 @@ from .graph import (
 )
 from .oracles import (
     ItemBudgetExceeded,
-    SubsequenceSet,
     count_increasing,
     enumerate_increasing,
     lis_bruteforce,

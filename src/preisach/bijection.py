@@ -5,10 +5,10 @@ maximal runs of same-kind edges gives an alternating block structure whose
 first block always goes up.  The states where the kind changes, plus the
 destination, are the switch-back states; collecting the labels of the edges
 entering them and reversing the list yields an increasing subsequence of the
-driving permutation.  This map is a bijection between vertices and the
-increasing subsequences (the empty one included), and the subsequence length
-equals the nesting degree of the vertex: the minimal number of alternating
-blocks needed to reach it.
+driving permutation, a plain tuple of values.  This map is a bijection
+between vertices and the increasing subsequences (the empty one included),
+and the subsequence length equals the nesting degree of the vertex: the
+minimal number of alternating blocks needed to reach it.
 
 `phi_all` labels every vertex in one breadth-first pass over the graph's
 successor maps read as vertex masks: `graph._closure`, the pass that also
@@ -25,7 +25,9 @@ phi from one call of that pass and runs the search on masks.
 staircase of U- and D-wipes, one per subsequence value, so encoding a
 subsequence and decoding a vertex mask take no graph.  `cmd_verify` checks
 the breadth-first labels by encoding them back, and the CLI's `phi`,
-`phi-inverse` and `nesting --vertex` answer through it.  `phi_inverse` (the
+`phi-inverse` and `nesting --vertex` answer through it; `encode` is the
+one production check that a tuple is an increasing subsequence.
+`increasing_subsequence` (the literal definition), `phi_inverse` (the
 table of `phi_all`) and `phi_inverse_constructive` (the walk from alpha)
 are its oracles in the tests.
 """
@@ -51,7 +53,6 @@ from .graph import (
 
 __all__ = [
     "UniquenessViolation",
-    "IncreasingSubsequence",
     "increasing_subsequence",
     "Staircase",
     "Path",
@@ -71,36 +72,29 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IncreasingSubsequence:
-    """Values of the permutation taken at increasing positions, increasing in
-    value; possibly empty."""
-
-    values: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def increasing_subsequence(values, rho: Permutation) -> IncreasingSubsequence:
-    """Validate `values` as an increasing subsequence of rho.
-
-    Both the values and their positions in rho must be strictly increasing;
-    the empty sequence is valid.
-    """
-    vals = tuple(values)
-    last_v = 0
-    last_p = 0
+def _rejection(vals: tuple, rho: Permutation) -> str | None:
+    """Why `vals` is no increasing subsequence of rho, by the literal
+    definition scanned forward: both the values and their positions in rho
+    strictly increase.  None if it is one; the empty sequence is."""
+    last_v = last_p = 0
     for v in vals:
         if not 1 <= v <= rho.n:
-            raise ValueError(
-                f"not an increasing subsequence of {rho.values}: value {v} out of range"
-            )
+            return f"not an increasing subsequence of {rho.values}: value {v} out of range"
         p = rho.position_of(v)
         if v <= last_v or p <= last_p:
-            raise ValueError(f"not an increasing subsequence of {rho.values}: {vals}")
+            return f"not an increasing subsequence of {rho.values}: {vals}"
         last_v, last_p = v, p
-    return IncreasingSubsequence(vals)
+    return None
+
+
+def increasing_subsequence(values, rho: Permutation) -> tuple[int, ...]:
+    """`values` as a tuple, checked by the literal definition (_rejection).
+    The oracle of `Staircase.encode`, which validates in production and
+    takes only its error message from the same scan."""
+    vals = tuple(values)
+    if (reason := _rejection(vals, rho)) is not None:
+        raise ValueError(reason)
+    return vals
 
 
 class Staircase:
@@ -132,9 +126,10 @@ class Staircase:
     ((2,), '0b11')
     """
 
-    __slots__ = ("_values", "_pos", "_prefix")
+    __slots__ = ("_rho", "_values", "_pos", "_prefix")
 
     def __init__(self, rho: Permutation) -> None:
+        self._rho = rho
         self._values = rho.values
         # pos[v] is the 1-based position of value v; prefix[p] the bits of rho_1..rho_p
         self._pos = {v: p for p, v in enumerate(rho.values, 1)}
@@ -144,7 +139,8 @@ class Staircase:
 
     def encode(self, values) -> int:
         """The vertex mask of the increasing subsequence `values`, in O(k).
-        Raises ValueError if `values` is not one."""
+        Raises ValueError if `values` is not one, with the message of
+        `increasing_subsequence`."""
         pos, prefix = self._pos, self._prefix
         mask = 0
         up = True
@@ -152,9 +148,7 @@ class Staircase:
         for s in reversed(values):
             p = pos.get(s)
             if p is None or s >= v_bound or p >= p_bound:
-                raise ValueError(
-                    f"not an increasing subsequence of {self._values}: {tuple(values)}"
-                )
+                raise ValueError(_rejection(tuple(values), self._rho))
             if up:
                 mask |= (1 << s) - 1
             else:
@@ -302,7 +296,7 @@ def block_decomposition(p: Path) -> BlockDecomposition:
     return BlockDecomposition(tuple(blocks), tuple(switchbacks), tuple(labels))
 
 
-def phi(g: PreisachGraph, sigma: SpinConfig) -> IncreasingSubsequence:
+def phi(g: PreisachGraph, sigma: SpinConfig) -> tuple[int, ...]:
     """The increasing subsequence of a vertex: switch-back labels of its
     shortest path, reversed."""
     if sigma not in g.vertices:
@@ -310,40 +304,40 @@ def phi(g: PreisachGraph, sigma: SpinConfig) -> IncreasingSubsequence:
     return phi_all(g)[sigma]
 
 
-def phi_all(g: PreisachGraph) -> dict[SpinConfig, IncreasingSubsequence]:
+def phi_all(g: PreisachGraph) -> dict[SpinConfig, tuple[int, ...]]:
     """phi for every vertex, labelled by the breadth-first pass (_closure)
     on g's successor maps read as masks.  Its budget, one more than the
     edge count, is one no graph can exceed."""
     u_next, d_next = _mask_maps(g)
     labels = _closure(g.alpha.mask, u_next.get, d_next.get, 1 + len(u_next) + len(d_next))[2]
-    return {SpinConfig._unchecked(g.n, m): IncreasingSubsequence(s) for m, s in labels.items()}
+    return {SpinConfig._unchecked(g.n, m): s for m, s in labels.items()}
 
 
-def phi_inverse(g: PreisachGraph, s: IncreasingSubsequence) -> SpinConfig:
-    """The vertex mapping to `s`, by inverting the table of phi over all
-    vertices.  The authoritative inverse; the constructive variant below is
-    checked against it in the tests."""
-    increasing_subsequence(s.values, g.perm)
-    table = {sub.values: v for v, sub in phi_all(g).items()}
+def phi_inverse(g: PreisachGraph, values) -> SpinConfig:
+    """The vertex mapping to the increasing subsequence `values`, by
+    inverting the table of phi over all vertices.  The authoritative
+    inverse; the constructive variant below is checked against it in the
+    tests."""
+    s = increasing_subsequence(values, g.perm)
+    table = {sub: v for v, sub in phi_all(g).items()}
     try:
-        return table[tuple(s.values)]
+        return table[s]
     except KeyError:
-        raise RuntimeError(
-            f"bijection violated: {s.values} has no preimage"
-        ) from None
+        raise RuntimeError(f"bijection violated: {s} has no preimage") from None
 
 
-def phi_inverse_constructive(rho: Permutation, s: IncreasingSubsequence) -> SpinConfig:
-    """Rebuild the vertex of `s` by walking from alpha, no table needed.
+def phi_inverse_constructive(rho: Permutation, values) -> SpinConfig:
+    """Rebuild the vertex of the increasing subsequence `values` by walking
+    from alpha, no table needed.
 
     Read the subsequence from its largest value down: take up steps until the
     largest value's spin flips, then alternate direction, each time stepping
     until the edge labeled with the next value is taken.
     """
-    increasing_subsequence(s.values, rho)
+    s = increasing_subsequence(values, rho)
     cur = alpha(rho.n)
     going_up = True
-    for target in reversed(s.values):
+    for target in reversed(s):
         while True:
             i = i_plus(cur) if going_up else i_minus(cur, rho)
             if i is None:

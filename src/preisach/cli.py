@@ -1,7 +1,7 @@
 """Command-line front end: parsing, graph export, theorem checks, statistics.
 
 Exit codes: 0 success, 1 verification failure, 2 usage, parse or output error,
-3 vertex/item budget exceeded.
+3 vertex budget exceeded.
 """
 
 from __future__ import annotations
@@ -14,12 +14,7 @@ from dataclasses import dataclass
 from itertools import permutations as all_permutations
 from statistics import pstdev
 
-from .bijection import (
-    Staircase,
-    _alternation_masks,
-    increasing_subsequence,
-    nesting_of_graph,
-)
+from .bijection import Staircase, _alternation_masks
 from .core import Permutation, SpinConfig, alpha, make_permutation, omega
 from .graph import (
     DEFAULT_MAX_VERTICES,
@@ -35,7 +30,7 @@ from .graph import (
     merge_identity_bottom,
     merge_identity_top,
 )
-from .oracles import ItemBudgetExceeded, count_increasing, lis_patience
+from .oracles import count_increasing, lis_patience
 
 __all__ = [
     "VerifyReport",
@@ -505,8 +500,7 @@ def _cmd_phi(args: argparse.Namespace) -> int:
 def _cmd_phi_inverse(args: argparse.Namespace) -> int:
     rho = parse_permutation(args.perm)
     _charge_graph(rho, args.max_vertices)
-    s = increasing_subsequence(_parse_subseq(args.subseq), rho)
-    mask = Staircase(rho).encode(s.values)
+    mask = Staircase(rho).encode(_parse_subseq(args.subseq))
     _write_out(format_config(SpinConfig._unchecked(rho.n, mask)), args.out)
     return 0
 
@@ -514,7 +508,9 @@ def _cmd_phi_inverse(args: argparse.Namespace) -> int:
 def _cmd_nesting(args: argparse.Namespace) -> int:
     rho = parse_permutation(args.perm)
     if args.vertex is None:
-        value = nesting_of_graph(build_bfs(rho, args.max_vertices))
+        # the longest phi label of the breadth-first pass build_bfs runs
+        labels = _closure(0, *_mask_steppers(rho), args.max_vertices)[2]
+        value = max(map(len, labels.values()))
     else:
         _charge_graph(rho, args.max_vertices)
         value = len(_phi_of(rho, args.vertex))
@@ -638,7 +634,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (VertexBudgetExceeded, ItemBudgetExceeded) as exc:
+    except VertexBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:

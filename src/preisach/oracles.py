@@ -11,15 +11,12 @@ every cross-check.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 
-from .bijection import IncreasingSubsequence, increasing_subsequence
 from .core import Permutation
 
 __all__ = [
     "DEFAULT_ITEM_BUDGET",
     "ItemBudgetExceeded",
-    "SubsequenceSet",
     "enumerate_increasing",
     "count_increasing",
     "lis_patience",
@@ -35,25 +32,13 @@ class ItemBudgetExceeded(RuntimeError):
     """Enumeration would produce more subsequences than the allowed budget."""
 
 
-@dataclass(frozen=True)
-class SubsequenceSet:
-    """All increasing subsequences of one permutation, the empty one included."""
-
-    items: frozenset[IncreasingSubsequence]
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def value_tuples(self) -> set[tuple[int, ...]]:
-        return {s.values for s in self.items}
-
-
 def enumerate_increasing(
     rho: Permutation, max_items: int = DEFAULT_ITEM_BUDGET
-) -> SubsequenceSet:
-    """Every increasing subsequence of rho, by positional backtracking.
+) -> frozenset[tuple[int, ...]]:
+    """Every increasing subsequence of rho, the empty one included, by
+    positional backtracking.
 
-    >>> sorted(enumerate_increasing(Permutation((2, 3, 1))).value_tuples())
+    >>> sorted(enumerate_increasing(Permutation((2, 3, 1))))
     [(), (1,), (2,), (2, 3), (3,)]
     """
     values = rho.values
@@ -74,9 +59,7 @@ def enumerate_increasing(
                 extend(i + 1, item)
 
     extend(0, ())
-    return SubsequenceSet(
-        frozenset(increasing_subsequence(item, rho) for item in found)
-    )
+    return frozenset(found)
 
 
 def count_increasing(rho: Permutation) -> int:

@@ -119,12 +119,12 @@ def test_block_decomposition_three_blocks():
 
 def test_phi_examples():
     g = build_bfs(RHO231)
-    assert phi(g, alpha(3)).values == ()
-    assert phi(g, cfg(1, -1, 1)).values == (2, 3)
-    assert phi(g, omega(3)).values == (3,)
+    assert phi(g, alpha(3)) == ()
+    assert phi(g, cfg(1, -1, 1)) == (2, 3)
+    assert phi(g, omega(3)) == (3,)
     g5 = build_bfs(RHO24351)
-    assert phi(g5, cfg(1, 1, 1, -1, 1)).values == (2, 4, 5)
-    assert phi(g5, omega(5)).values == (5,)
+    assert phi(g5, cfg(1, 1, 1, -1, 1)) == (2, 4, 5)
+    assert phi(g5, omega(5)) == (5,)
 
 
 def test_phi_vertex_from_alternating_walk():
@@ -198,22 +198,22 @@ def _assert_bijection(rho):
     g = build_bfs(rho)
     images = phi_all(g)
     degrees = nesting_degrees(g)
-    value_sets = {s.values for s in images.values()}
+    value_sets = set(images.values())
     assert len(value_sets) == len(g.vertices)  # injective
-    assert value_sets == enumerate_increasing(rho).value_tuples()
+    assert value_sets == enumerate_increasing(rho)
     assert len(g.vertices) == count_increasing(rho)
     oracle = alternation_degrees(rho)
     paths = _tree_paths(g)
     # phi_inverse relabels the whole graph per call: invert the table once,
     # and call it directly on alpha, omega and a most nested vertex
-    inverse = {s.values: v for v, s in images.items()}
+    inverse = {s: v for v, s in images.items()}
     for v in {g.alpha, g.omega, max(g.vertices, key=lambda v: (degrees[v], v))}:
         assert phi_inverse(g, images[v]) == v
     for v in g.vertices:
         path_labels = block_decomposition(paths[v]).labels
-        assert images[v].values == tuple(reversed(path_labels))
+        assert images[v] == tuple(reversed(path_labels))
         assert len(images[v]) == degrees[v] == oracle[v]
-        assert inverse[images[v].values] == v
+        assert inverse[images[v]] == v
         assert phi_inverse_constructive(rho, images[v]) == v
     assert max(degrees.values()) == lis_patience(rho)
     return g, paths
@@ -231,9 +231,7 @@ def _assert_mask_labels_match_view(rho):
     labels = _closure(0, *_mask_steppers(rho), DEFAULT_MAX_VERTICES)[2]
     degrees = _alternation_masks(rho)
     config = _configs(labels.keys() | degrees.keys(), rho.n)
-    assert {config[m]: s for m, s in labels.items()} == {
-        v: s.values for v, s in phi_all(build_bfs(rho)).items()
-    }
+    assert {config[m]: s for m, s in labels.items()} == phi_all(build_bfs(rho))
     assert {config[m]: d for m, d in degrees.items()} == alternation_degrees(rho)
 
 
@@ -311,6 +309,12 @@ def test_staircase_round_trip_wide(case, data):
 
 def test_staircase_encode_rejects_non_subsequences():
     code = Staircase(RHO231)
-    for bad in [(3, 2), (3, 1), (1, 3), (2, 2), (4,), (0,), (-1,), (2, 4)]:
-        with pytest.raises(ValueError, match="not an increasing subsequence"):
+    for bad in [(3, 2), (3, 1), (1, 3), (2, 2), (4,), (0,), (-1,), (2, 4), (3, 2, 4)]:
+        with pytest.raises(ValueError, match="not an increasing subsequence") as exc:
             code.encode(bad)
+        # the message is the literal validator's, word for word
+        with pytest.raises(ValueError) as oracle:
+            increasing_subsequence(bad, RHO231)
+        assert str(exc.value) == str(oracle.value), bad
+    with pytest.raises(ValueError, match="value 4 out of range"):
+        code.encode((4,))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -19,6 +20,7 @@ from preisach import (
     alpha,
     build_bfs,
     count_increasing,
+    lis_patience,
     make_permutation,
 )
 from preisach.cli import (
@@ -282,6 +284,24 @@ def test_cli_stats_output_matches_readme(capsys):
     assert capsys.readouterr().out.splitlines() == example.splitlines()
 
 
+def test_readme_quick_start_runs():
+    # the Python block of the README runs, and every result it states in a
+    # comment is what its line evaluates to
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    stated = []
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        body = ast.parse(code).body
+        if body and isinstance(body[0], ast.Expr):
+            assert eval(code, namespace) == ast.literal_eval(comment.strip()), line
+            stated.append(comment.strip())
+        else:
+            exec(code, namespace)
+    assert stated == ["5", "[(), (1,), (2, 3), (2,), (3,)]", "True"]
+
+
 @pytest.mark.parametrize("budget", [0, -5])
 def test_cmd_stats_rejects_empty_budget(budget, capsys):
     with pytest.raises(VertexBudgetExceeded, match="budget is empty"):
@@ -337,6 +357,23 @@ def test_cli_codec_commands_keep_the_graph_budget(argv, answer, capsys):
         with pytest.raises(VertexBudgetExceeded) as exc:
             build_bfs(rho, budget)
         assert (out, err) == ("", f"error: {exc.value}\n")
+
+
+@pytest.mark.parametrize(
+    "values", [(2, 3, 1), tuple(range(1, 7)), tuple(range(6, 0, -1))], ids=str
+)
+def test_cli_graph_nesting_is_lis_within_the_budget(values, capsys):
+    # nesting without --vertex runs build_bfs's pass: its answer is the LIS,
+    # and past the budget it fails with build_bfs's exit code and message
+    rho = make_permutation(values)
+    c = count_increasing(rho)
+    argv = ["nesting", "--perm", ",".join(map(str, values)), "--max-vertices"]
+    assert main([*argv, str(c)]) == 0
+    assert capsys.readouterr() == (f"{lis_patience(rho)}\n", "")
+    assert main([*argv, str(c - 1)]) == 3
+    with pytest.raises(VertexBudgetExceeded) as exc:
+        build_bfs(rho, c - 1)
+    assert capsys.readouterr() == ("", f"error: {exc.value}\n")
 
 
 def test_cli_codec_commands_reject_non_vertices_and_non_subsequences(capsys):

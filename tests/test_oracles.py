@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import compress, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -40,7 +40,7 @@ def _count_quadratic(rho):
 
 
 def test_enumerate_fig_instance():
-    assert enumerate_increasing(RHO231).value_tuples() == {
+    assert enumerate_increasing(RHO231) == {
         (),
         (1,),
         (2,),
@@ -50,15 +50,28 @@ def test_enumerate_fig_instance():
 
 
 def test_enumerate_singleton():
-    assert enumerate_increasing(make_permutation([1])).value_tuples() == {(), (1,)}
+    assert enumerate_increasing(make_permutation([1])) == {(), (1,)}
 
 
 def test_enumerate_no_increasing_pair():
-    assert enumerate_increasing(make_permutation([2, 1])).value_tuples() == {
+    assert enumerate_increasing(make_permutation([2, 1])) == {
         (),
         (1,),
         (2,),
     }
+
+
+def test_enumerate_equals_subset_sweep_exhaustive_small():
+    # the literal definition: the values at any set of positions, kept if
+    # they increase; this checks both soundness and completeness
+    for n in range(1, 8):
+        for values in permutations(range(1, n + 1)):
+            sweep = set()
+            for picks in product((False, True), repeat=n):
+                chosen = tuple(compress(values, picks))
+                if all(a < b for a, b in zip(chosen, chosen[1:])):
+                    sweep.add(chosen)
+            assert enumerate_increasing(make_permutation(values)) == sweep, values
 
 
 def test_enumerate_budget():
@@ -130,7 +143,7 @@ def test_patience_equals_bruteforce_random(rho):
 def test_enumeration_count_and_max_length_agree(rho):
     subs = enumerate_increasing(rho)
     assert len(subs) == count_increasing(rho)
-    assert max(len(s) for s in subs.items) == lis_patience(rho)
+    assert max(map(len, subs)) == lis_patience(rho)
 
 
 @settings(deadline=None)
