@@ -24,9 +24,10 @@ phi from one call of that pass and runs the search on masks.
 `Staircase` is phi and its inverse in closed form: a vertex is a nested
 staircase of U- and D-wipes, one per subsequence value, so encoding a
 subsequence and decoding a vertex mask take no graph.  `cmd_verify` checks
-the breadth-first labels by encoding them back, and the CLI's `phi`,
-`phi-inverse` and `nesting --vertex` answer through it; `encode` is the
-one production check that a tuple is an increasing subsequence.
+the breadth-first labels by encoding them back; `phi` and `nesting_degree`
+of one vertex, and the CLI's `phi`, `phi-inverse` and `nesting --vertex`,
+answer through it; `encode` is the one production check that a tuple is
+an increasing subsequence.
 `increasing_subsequence` (the literal definition), `phi_inverse` (the
 table of `phi_all`) and `phi_inverse_constructive` (the walk from alpha)
 are its oracles in the tests.
@@ -298,10 +299,11 @@ def block_decomposition(p: Path) -> BlockDecomposition:
 
 def phi(g: PreisachGraph, sigma: SpinConfig) -> tuple[int, ...]:
     """The increasing subsequence of a vertex: switch-back labels of its
-    shortest path, reversed."""
+    shortest path, reversed.  Read off its staircase (Staircase.decode) in
+    O(n) once sigma is checked to be a vertex; the graph is not relabelled."""
     if sigma not in g.vertices:
         raise ValueError(f"not a vertex: {sigma.spins}")
-    return phi_all(g)[sigma]
+    return Staircase(g.perm).decode(sigma.mask)
 
 
 def phi_all(g: PreisachGraph) -> dict[SpinConfig, tuple[int, ...]]:

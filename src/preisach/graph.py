@@ -31,7 +31,10 @@ with the same pass.
 Cycles, absorption, loop return-point memory and loops follow the orbit
 definitions directly.  `loop_vertices` and `verify_lrpm` share one walk
 over the major sub-cycles of a pair (_subcycle_walk), on spin
-configurations and on masks.  `build_forward` does not walk: by
+configurations and on masks.  The walk records each orbit once; a
+sub-cycle it pushes from one orbit's record lies on that orbit by
+construction, so it is checked on its other, open side only, and the
+trivial pairs (s, s) are never pushed.  `build_forward` does not walk: by
 return-point memory the loop it copies is a plain closure (_loop_closure),
 with `loop_vertices` as its oracle.  Every step function here maps a state
 to its successor, or to None at a fixed point.  `check_lrpm` stays the
@@ -428,30 +431,6 @@ def check_lrpm(rho: Permutation, c: Cycle) -> bool:
     return has_lrpm(c.mu, c.nu)
 
 
-class _Orbit:
-    """An orbit recorded as far as the walk has stepped it: its states in
-    order and how many of them have been pushed."""
-
-    __slots__ = ("states", "pushed")
-
-    def __init__(self, start) -> None:
-        self.states = [start]
-        self.pushed = 0
-
-    def position(self, succ: Step, target) -> int | None:
-        """The index of target on the orbit, stepping succ only past the
-        recorded part; None if the orbit ends or cycles before target."""
-        states = self.states
-        if target in states:
-            return states.index(target)
-        cur = states[-1]
-        while (cur := succ(cur)) is not None and cur not in states:
-            states.append(cur)
-            if cur == target:
-                return len(states) - 1
-        return None
-
-
 def _subcycle_walk(u_succ: Step, d_succ: Step, mu, nu) -> set | None:
     """Walk the major sub-cycles of (mu, nu): from a reached pair (m, v) on
     to (m, u) for each state u of its U-boundary and (w, v) for each state w
@@ -462,43 +441,59 @@ def _subcycle_walk(u_succ: Step, d_succ: Step, mu, nu) -> set | None:
     point; states are any hashable values.  The U-boundary of (m, v) is the
     prefix of m's U-orbit ending at v, so the pairs reached with lower end m
     are (m, U^i m) for i up to some bound, and likewise those with upper end
-    v are (D^j v, v).  Each orbit is therefore recorded once, and a popped
-    pair adds states and pushes children only beyond the furthest index
-    already pushed on its two orbits.  Every orbit state is stepped, added
-    and pushed once, so the walk makes O(reached pairs) steps and pushes,
-    not O(pairs x boundary length).  A pop finds its two targets by
-    scanning their orbits' records, which for the maps hold at most n+1
-    states, as each step changes the +1 count by one; an index dict per
-    orbit would double the walk's memory.  A state met twice on one orbit
-    means the orbit cycles and never reaches its target, so that pair is
-    not a cycle either.
+    v are (D^j v, v).  Each orbit is therefore recorded once, as a list,
+    with a count of how many of its states have been pushed; a check adds
+    and pushes only states beyond that count.  Every orbit state is stepped,
+    added and pushed once: O(reached pairs) steps, not O(pairs x boundary).
+
+    A pair is a cycle when v is on the U-orbit of m and m on the D-orbit of
+    v.  A child (m, U^i m) pushed from m's U-record is on that orbit by
+    construction, so it checks only its open side, m on the D-orbit of
+    U^i m, and a child pushed from a D-record only its U side; the root
+    checks both.  A stack entry (a, b, side) is one such check, b sought on
+    a's orbit.  Index 0 of a record, the pair (s, s), is a cycle whose only
+    child is itself, so it counts as pushed from the start; the ends of a
+    pair are added when it is pushed.  A check scans its record, which for
+    the maps holds at most n+1 states, as each step changes the +1 count by
+    one; an index dict per orbit would double the walk's memory.  A state
+    met twice on one orbit means the orbit cycles and never reaches its
+    target, so that pair is not a cycle either.
+
+    >>> u_next, d_next, _ = _closure(0, *_mask_steppers(Permutation((2, 3, 1))), 8)
+    >>> sorted(_subcycle_walk(u_next.get, d_next.get, 0, 0b111))
+    [0, 1, 3, 5, 7]
+    >>> print(_subcycle_walk(u_next.get, {**d_next, 0b011: 0}.get, 0, 0b111))
+    None
     """
-    u_orbits: dict = {}
-    d_orbits: dict = {}
-    verts: set = set()
-    stack = [(mu, nu)]
+    sides = ((u_succ, {}, {}), (d_succ, {}, {}))
+    verts = {mu, nu}
+    stack = [(mu, nu, 0), (nu, mu, 1)]
     while stack:
-        m, v = stack.pop()
-        up = u_orbits.get(m)
-        if up is None:
-            up = u_orbits[m] = _Orbit(m)
-        down = d_orbits.get(v)
-        if down is None:
-            down = d_orbits[v] = _Orbit(v)
-        i = up.position(u_succ, v)
-        j = None if i is None else down.position(d_succ, m)
-        if j is None:
-            return None
-        # index i of the U-record is v and index j of the D-record is m:
-        # the child there is (m, v) itself, so it is added but not pushed
-        if i >= up.pushed:
-            verts.update(up.states[up.pushed : i + 1])
-            stack += [(m, u) for u in up.states[up.pushed : i]]
-            up.pushed = i + 1
-        if j >= down.pushed:
-            verts.update(down.states[down.pushed : j + 1])
-            stack += [(w, v) for w in down.states[down.pushed : j]]
-            down.pushed = j + 1
+        a, b, side = stack.pop()
+        succ, records, pushed = sides[side]
+        states = records.get(a)
+        if states is None:
+            states = records[a] = [a]
+            pushed[a] = 1
+        if b in states:
+            i = states.index(b)
+        else:
+            cur = states[-1]
+            while (cur := succ(cur)) is not None and cur not in states:
+                states.append(cur)
+                if cur == b:
+                    break
+            else:
+                return None
+            i = len(states) - 1
+        # index i is b: the pair being checked, added already and not pushed
+        p = pushed[a]
+        if i >= p:
+            new = states[p:i]
+            verts.update(new)
+            side = 1 - side
+            stack += [(s, a, side) for s in new]
+            pushed[a] = i + 1
     return verts
 
 
@@ -523,16 +518,19 @@ def verify_lrpm(
     No separate absorption test is needed.  For a reached pair (m, v), each
     U-boundary state u lies on the U-orbit of m by construction, so "u
     returns to m under D" is exactly the cycle condition of the child
-    (m, u); likewise "w returns to v under U", for a D-boundary state w, is
-    the cycle condition of the child (w, v).  The walk reaches every child,
-    so "every reached pair is a cycle" is "every reached pair is an
-    absorbing cycle", the recursive definition check_lrpm evaluates.
+    (m, u), and the only side the walk checks for it; likewise "w returns
+    to v under U", for a D-boundary state w, is the cycle condition of the
+    child (w, v).  The walk reaches every child but the trivial (m, m) and
+    (v, v), which are cycles, so "every reached pair is a cycle" is "every
+    reached pair is an absorbing cycle", the recursive definition
+    check_lrpm evaluates.
 
     The walk runs on g's maps read as masks (_mask_maps), not on the
-    configurations, whose __eq__ would run in every orbit scan.  An orbit
-    that cycles never reaches its target, and an edge into a state outside
-    g.vertices, which has no edges of its own, ends its orbit, so a pair
-    that needs either is not a cycle and the result is False.
+    configurations, whose __eq__ would run in every scan of an orbit's
+    record.  An orbit that cycles never reaches its target, and an edge into
+    a state outside g.vertices, which has no edges of its own, ends its
+    orbit, so a pair that needs either is not a cycle and the result is
+    False.
     """
     mu = g.alpha if mu is None else mu
     nu = g.omega if nu is None else nu

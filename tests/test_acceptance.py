@@ -30,7 +30,14 @@ from preisach import (
     nesting_degrees,
     phi,
 )
-from preisach.cli import cmd_stats, cmd_verify, export_dot, export_json, random_permutation
+from preisach.cli import (
+    cmd_stats,
+    cmd_verify,
+    cmd_verify_all,
+    export_dot,
+    export_json,
+    random_permutation,
+)
 
 BUDGET = 1 << 20
 SUITE2_SEED = 1
@@ -110,6 +117,18 @@ def test_criterion_1_exhaustive_theorem_suite(suite1):
         f"criterion 1: exhaustive suite N=1..7, {suite1.permutations} permutations, "
         f"{len(suite1.verify_failures)} failures, verify time "
         f"{suite1.verify_elapsed:.1f}s (limit 120s)",
+    )
+
+
+def test_criterion_1b_exhaustive_n8():
+    t0 = time.perf_counter()
+    summary = cmd_verify_all(8, BUDGET)
+    elapsed = time.perf_counter() - t0
+    ok = summary.checked == 40320 and not summary.failures and elapsed < 120.0
+    _report(
+        ok,
+        f"criterion 1b: exhaustive suite N=8, {summary.checked} permutations, "
+        f"{len(summary.failures)} failures, verify time {elapsed:.1f}s (limit 120s)",
     )
 
 

@@ -127,6 +127,34 @@ def test_phi_examples():
     assert phi(g5, omega(5)) == (5,)
 
 
+def test_phi_matches_phi_all_exhaustive_small():
+    for n in range(1, 7):
+        for values in permutations(range(1, n + 1)):
+            g = build_bfs(make_permutation(values))
+            for v, s in phi_all(g).items():
+                assert phi(g, v) == s, (values, v)
+                assert nesting_degree(g, v) == len(s)
+
+
+def test_phi_does_not_relabel_the_graph(monkeypatch):
+    # the largest graph of random_permutation(22, 0, i), i < 300: one label
+    # must not cost a breadth-first pass over its 5,477 vertices
+    rho = max((random_permutation(22, 0, i) for i in range(300)), key=count_increasing)
+    g = build_bfs(rho)
+    assert len(g.vertices) == 5477
+    expected = phi_all(g)
+
+    def no_pass(*args):
+        raise AssertionError("phi ran a breadth-first pass")
+
+    monkeypatch.setattr("preisach.bijection._closure", no_pass)
+    for v in sorted(g.vertices, key=lambda v: v.mask)[::97] + [g.alpha, g.omega]:
+        assert phi(g, v) == expected[v]
+        assert nesting_degree(g, v) == len(expected[v])
+    with pytest.raises(AssertionError, match="breadth-first"):
+        phi_all(g)
+
+
 def test_phi_vertex_from_alternating_walk():
     sigma = alpha(5)
     for _ in range(5):

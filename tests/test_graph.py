@@ -5,7 +5,7 @@ import subprocess
 import sys
 import textwrap
 from dataclasses import replace
-from itertools import permutations
+from itertools import combinations, permutations, product
 from pathlib import Path
 
 import pytest
@@ -296,53 +296,94 @@ def test_verify_lrpm_rejects_forged_graph():
     assert verify_lrpm(replace(g, d_next=d_next)) is False
 
 
+def _chain(edges, start, target):
+    """start and its successors under `edges` up to target, or None if the
+    orbit ends first."""
+    out = [start]
+    while out[-1] != target:
+        dst = edges.get(out[-1])
+        if dst is None:
+            return None
+        out.append(dst)
+    return out
+
+
+def _recursive_walk(g, mu, nu):
+    """The literal recursive definition on the graph's own edges: the union
+    of the boundaries of every pair reached through the boundaries of
+    (mu, nu), or None unless every such pair is a cycle.  Its orbits must
+    not cycle."""
+    seen = set()
+    verts = set()
+
+    def ok(m, v):
+        if (m, v) in seen:
+            return True
+        seen.add((m, v))
+        ub = _chain(g.u_next, m, v)
+        db = _chain(g.d_next, v, m)
+        if ub is None or db is None:
+            return False
+        verts.update(ub, db)
+        return all(ok(m, u) for u in ub) and all(ok(w, v) for w in db)
+
+    return verts if ok(mu, nu) else None
+
+
+def _forgeries(g, edits):
+    """g with `edits` of its edges redirected, in every way that moves each
+    to another state with more (U) or fewer (D) +1 spins than its source,
+    in or out of the graph, so no orbit cycles (that case runs in a child
+    process below)."""
+    states = [SpinConfig._unchecked(g.n, m) for m in range(1 << g.n)]
+    options = [
+        (field, src, dst)
+        for field, sign in (("u_next", 1), ("d_next", -1))
+        for src, old in getattr(g, field).items()
+        for dst in states
+        if dst != old and sign * (dst.count_plus() - src.count_plus()) > 0
+    ]
+    for picks in combinations(options, edits):
+        if len({(field, src) for field, src, _ in picks}) < edits:
+            continue
+        fields = {"u_next": dict(g.u_next), "d_next": dict(g.d_next)}
+        for field, src, dst in picks:
+            fields[field][src] = dst
+        yield replace(g, **fields)
+
+
 def test_verify_lrpm_on_every_single_edge_forgery():
-    # each edge redirected to a vertex with more (U) or fewer (D) +1 spins
-    # than its source, so no orbit cycles (that case runs in a child process
-    # below); the oracle is the recursive definition on the graph's own
-    # edges: every pair reached through the boundaries of (alpha, omega) is
-    # a cycle
-    def chain(edges, start, target):
-        out = [start]
-        while out[-1] != target:
-            dst = edges.get(out[-1])
-            if dst is None:
-                return None
-            out.append(dst)
-        return out
-
-    def lrpm(g):
-        seen = set()
-
-        def ok(m, v):
-            if (m, v) in seen:
-                return True
-            seen.add((m, v))
-            ub = chain(g.u_next, m, v)
-            db = chain(g.d_next, v, m)
-            return (
-                ub is not None
-                and db is not None
-                and all(ok(m, u) for u in ub)
-                and all(ok(w, v) for w in db)
-            )
-
-        return ok(g.alpha, g.omega)
-
+    # verify_lrpm against the recursive definition, and the walk's union
+    # against the recursive union: from (alpha, omega) for n <= 4 and from
+    # every pair of vertices for n <= 3
     outcomes = set()
     for n in range(1, 5):
         for values in permutations(range(1, n + 1)):
             g = build_bfs(make_permutation(values))
-            for field, sign in (("u_next", 1), ("d_next", -1)):
-                edges = getattr(g, field)
-                for src, old in edges.items():
-                    for dst in g.vertices - {old}:
-                        if sign * (dst.count_plus() - src.count_plus()) <= 0:
-                            continue
-                        forged = replace(g, **{field: {**edges, src: dst}})
-                        got = verify_lrpm(forged)
-                        assert got == lrpm(forged), (values, field, src, dst)
-                        outcomes.add(got)
+            for forged in _forgeries(g, 1):
+                expected = _recursive_walk(forged, g.alpha, g.omega)
+                got = verify_lrpm(forged)
+                assert got == (expected is not None), (values, forged)
+                outcomes.add(got)
+                pairs = product(g.vertices, repeat=2) if n <= 3 else [(g.alpha, g.omega)]
+                for mu, nu in pairs:
+                    walk = _subcycle_walk(forged.u_next.get, forged.d_next.get, mu, nu)
+                    assert walk == _recursive_walk(forged, mu, nu), (values, forged, mu, nu)
+    assert outcomes == {True, False}
+
+
+def test_verify_lrpm_on_every_two_edge_forgery():
+    outcomes = set()
+    for n in range(1, 4):
+        for values in permutations(range(1, n + 1)):
+            g = build_bfs(make_permutation(values))
+            for forged in _forgeries(g, 2):
+                expected = _recursive_walk(forged, g.alpha, g.omega)
+                got = verify_lrpm(forged)
+                assert got == (expected is not None), (values, forged)
+                outcomes.add(got)
+                walk = _subcycle_walk(forged.u_next.get, forged.d_next.get, g.alpha, g.omega)
+                assert walk == expected, (values, forged)
     assert outcomes == {True, False}
 
 
