@@ -16,9 +16,10 @@ builds the breadth-first graph and raises `UniquenessViolation` (defined
 in `graph`, re-exported here).  `shortest_path` and
 `block_decomposition` are the path-by-path oracle route the tests compare
 it against, and `shortest_path_tree` builds their `LabeledEdge` steps, one
-per tree edge.  `nesting_degree_oracle` is a tree-free oracle: a 0/1
-alternation-cost search over raw map applications on masks
-(`_alternation_masks`).  `cli.cmd_verify` takes the breadth-first maps and
+per tree edge.  `nesting_degree_oracle` is a tree-free oracle: a
+level-by-level search over raw map applications on masks
+(`_alternation_masks`), level d holding the states first reached with d
+alternating blocks.  `cli.cmd_verify` takes the breadth-first maps and
 phi from one call of that pass and runs the search on masks.
 
 `Staircase` is phi and its inverse in closed form: a vertex is a nested
@@ -379,46 +380,40 @@ def _alternation_masks(
     rho: Permutation, max_vertices: int = DEFAULT_MAX_VERTICES
 ) -> dict[int, int]:
     """Minimal alternating-block count for every configuration reachable
-    from alpha, keyed by vertex mask, found by a deque-based 0/1 search over
-    raw map applications.
+    from alpha, keyed by vertex mask, found level by level over raw map
+    applications.
 
-    Extending the current run costs nothing, switching direction costs one
-    block.  alpha is entered as if by a D-step: it has no D-successor, so
-    its first U-step opens the first block at cost one.  Independent of the
-    graph builders and of the shortest-path machinery.
+    Level 0 is alpha, entered as if by a D-step: it has no D-successor, so
+    its first U-step opens the first block.  Level d+1 holds the states one
+    more block away: from each state of level d, step once in the other
+    kind, then keep stepping in that kind until reaching a state already
+    entered.  Every state of a level is entered by the same kind, U on odd
+    levels and D on even ones, and its degree is the level that enters it.
+    A state is entered once, by either kind: if the first entry is at level
+    e, a later one is at a level of the other kind, so at least e + 1, and
+    each of its two steps is already taken from level e at no more cost.
+    Independent of the graph builders and of the shortest-path machinery.
+
+    >>> sorted(_alternation_masks(Permutation((2, 3, 1))).items())
+    [(0, 0), (1, 1), (3, 1), (5, 2), (7, 1)]
     """
     u_step, d_step = _mask_steppers(rho)
-    # search state: mask << 1 | kind of the step into it, 0 up and 1 down
-    dist = {1: 0}
-    seen = {0}
-    dq: deque[tuple[int, int, int]] = deque([(0, 0, 1)])
-    while dq:
-        d, m, last = dq.popleft()
-        if d > dist[m << 1 | last]:
-            continue
-        for kind, step in ((0, u_step), (1, d_step)):
-            t = step(m)
-            if t is None:
-                continue
-            if t not in seen:
-                if len(seen) + 1 > max_vertices:
+    best = {0: 0}
+    level = [0]
+    d = 0
+    while level:
+        d += 1
+        step = u_step if d & 1 else d_step
+        nxt = []
+        for m in level:
+            while (m := step(m)) is not None and m not in best:
+                if len(best) + 1 > max_vertices:
                     raise VertexBudgetExceeded(
                         f"vertex budget exceeded: more than {max_vertices} configurations"
                     )
-                seen.add(t)
-            nd = d + (kind != last)
-            key = t << 1 | kind
-            if nd < dist.get(key, nd + 1):
-                dist[key] = nd
-                if nd == d:
-                    dq.appendleft((nd, t, kind))
-                else:
-                    dq.append((nd, t, kind))
-    best: dict[int, int] = {}
-    for key, d in dist.items():
-        m = key >> 1
-        if d < best.get(m, d + 1):
-            best[m] = d
+                best[m] = d
+                nxt.append(m)
+        level = nxt
     return best
 
 

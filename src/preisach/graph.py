@@ -31,12 +31,13 @@ with the same pass.
 Cycles, absorption, loop return-point memory and loops follow the orbit
 definitions directly.  `loop_vertices` and `verify_lrpm` share one walk
 over the major sub-cycles of a pair (_subcycle_walk), on spin
-configurations and on masks.  The walk records each orbit once; a
-sub-cycle it pushes from one orbit's record lies on that orbit by
-construction, so it is checked on its other, open side only, and the
-trivial pairs (s, s) are never pushed.  `build_forward` does not walk: by
-return-point memory the loop it copies is a plain closure (_loop_closure),
-with `loop_vertices` as its oracle.  Every step function here maps a state
+configurations and on masks.  The walk records each orbit once, only as
+far as the targets sought on it, and pushes every state it records, so a
+target already on a record needs no work; a sub-cycle it pushes from one
+orbit's record lies on that orbit by construction, so it is checked on its
+other, open side only, and the trivial pairs (s, s) are never pushed.
+`build_forward` does not walk: by return-point memory the loop it copies
+is a plain closure (_loop_closure), with `loop_vertices` as its oracle.  Every step function here maps a state
 to its successor, or to None at a fixed point.  `check_lrpm` stays the
 literal recursive definition the tests cross-validate `verify_lrpm` against.
 """
@@ -441,9 +442,11 @@ def _subcycle_walk(u_succ: Step, d_succ: Step, mu, nu) -> set | None:
     point; states are any hashable values.  The U-boundary of (m, v) is the
     prefix of m's U-orbit ending at v, so the pairs reached with lower end m
     are (m, U^i m) for i up to some bound, and likewise those with upper end
-    v are (D^j v, v).  Each orbit is therefore recorded once, as a list,
-    with a count of how many of its states have been pushed; a check adds
-    and pushes only states beyond that count.  Every orbit state is stepped,
+    v are (D^j v, v).  Each orbit is therefore recorded once, as a list
+    that grows only as far as the targets sought on it.  A check whose
+    target is already on the record has nothing to do; one that steps
+    stops at its target and adds and pushes every new state before it, so
+    every state of a record has been pushed.  Every orbit state is stepped,
     added and pushed once: O(reached pairs) steps, not O(pairs x boundary).
 
     A pair is a cycle when v is on the U-orbit of m and m on the D-orbit of
@@ -452,8 +455,9 @@ def _subcycle_walk(u_succ: Step, d_succ: Step, mu, nu) -> set | None:
     U^i m, and a child pushed from a D-record only its U side; the root
     checks both.  A stack entry (a, b, side) is one such check, b sought on
     a's orbit.  Index 0 of a record, the pair (s, s), is a cycle whose only
-    child is itself, so it counts as pushed from the start; the ends of a
-    pair are added when it is pushed.  A check scans its record, which for
+    child is itself, so it is never pushed, and a root (s, s) finds its
+    target on the new record and returns at once; the ends of a pair are
+    added when it is pushed.  A check scans its record, which for
     the maps holds at most n+1 states, as each step changes the +1 count by
     one; an index dict per orbit would double the walk's memory.  A state
     met twice on one orbit means the orbit cycles and never reaches its
@@ -464,36 +468,33 @@ def _subcycle_walk(u_succ: Step, d_succ: Step, mu, nu) -> set | None:
     [0, 1, 3, 5, 7]
     >>> print(_subcycle_walk(u_next.get, {**d_next, 0b011: 0}.get, 0, 0b111))
     None
+    >>> _subcycle_walk(u_next.get, d_next.get, 0b011, 0b011)  # (s, s): no step
+    {3}
     """
-    sides = ((u_succ, {}, {}), (d_succ, {}, {}))
+    sides = ((u_succ, {}), (d_succ, {}))
     verts = {mu, nu}
     stack = [(mu, nu, 0), (nu, mu, 1)]
     while stack:
         a, b, side = stack.pop()
-        succ, records, pushed = sides[side]
+        succ, records = sides[side]
         states = records.get(a)
         if states is None:
             states = records[a] = [a]
-            pushed[a] = 1
         if b in states:
-            i = states.index(b)
+            continue
+        p = len(states)
+        cur = states[-1]
+        while (cur := succ(cur)) is not None and cur not in states:
+            states.append(cur)
+            if cur == b:
+                break
         else:
-            cur = states[-1]
-            while (cur := succ(cur)) is not None and cur not in states:
-                states.append(cur)
-                if cur == b:
-                    break
-            else:
-                return None
-            i = len(states) - 1
-        # index i is b: the pair being checked, added already and not pushed
-        p = pushed[a]
-        if i >= p:
-            new = states[p:i]
-            verts.update(new)
-            side = 1 - side
-            stack += [(s, a, side) for s in new]
-            pushed[a] = i + 1
+            return None
+        # the last state is b: the pair being checked, added already and not pushed
+        new = states[p:-1]
+        verts.update(new)
+        side = 1 - side
+        stack += [(s, a, side) for s in new]
     return verts
 
 

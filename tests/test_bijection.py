@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from collections import deque
 from itertools import permutations
 
 import pytest
@@ -13,6 +14,7 @@ from preisach import (
     SpinConfig,
     Staircase,
     UniquenessViolation,
+    VertexBudgetExceeded,
     alpha,
     alternation_degrees,
     apply_D,
@@ -272,6 +274,60 @@ def test_mask_labels_match_view_exhaustive_small():
 @pytest.mark.parametrize("index", range(6))
 def test_mask_labels_match_view_wide(index):
     _assert_mask_labels_match_view(random_permutation(22, 0, index))
+
+
+def _alternation_deque(rho):
+    """Minimal alternating-block count per reachable mask by a 0/1
+    breadth-first search over (mask, kind of the step into it): a step of
+    the same kind costs nothing, a switch costs one block.  alpha is entered
+    as if by a D-step.  The oracle of the level-by-level _alternation_masks."""
+    steps = _mask_steppers(rho)
+    dist = {(0, 1): 0}
+    dq = deque([(0, 0, 1)])
+    while dq:
+        d, m, last = dq.popleft()
+        if d > dist[m, last]:
+            continue
+        for kind, step in enumerate(steps):
+            t = step(m)
+            if t is None:
+                continue
+            nd = d + (kind != last)
+            if nd < dist.get((t, kind), nd + 1):
+                dist[t, kind] = nd
+                (dq.appendleft if nd == d else dq.append)((nd, t, kind))
+    best = {}
+    for (m, _), d in dist.items():
+        best[m] = min(d, best.get(m, d))
+    return best
+
+
+def test_alternation_search_matches_deque_oracle_exhaustive_small():
+    for n in range(1, 8):
+        for values in permutations(range(1, n + 1)):
+            rho = make_permutation(values)
+            assert _alternation_masks(rho) == _alternation_deque(rho), values
+
+
+@pytest.mark.parametrize("index", range(6))
+def test_alternation_search_matches_deque_oracle_wide(index):
+    rho = random_permutation(22, 0, index)
+    assert _alternation_masks(rho) == _alternation_deque(rho)
+
+
+@pytest.mark.parametrize(
+    "values, count",
+    [((2, 3, 1), 5), (tuple(range(1, 7)), 64), (tuple(range(6, 0, -1)), 7)],
+)
+def test_alternation_budget_boundary(values, count):
+    rho = make_permutation(values)
+    for search in (_alternation_masks, alternation_degrees):
+        with pytest.raises(
+            VertexBudgetExceeded,
+            match=rf"^vertex budget exceeded: more than {count - 1} configurations$",
+        ):
+            search(rho, count - 1)
+        assert len(search(rho, count)) == count
 
 
 @settings(max_examples=25, deadline=None)

@@ -308,12 +308,12 @@ def _chain(edges, start, target):
     return out
 
 
-def _recursive_walk(g, mu, nu):
+def _recursive_walk(g, mu, nu, seen=None):
     """The literal recursive definition on the graph's own edges: the union
     of the boundaries of every pair reached through the boundaries of
     (mu, nu), or None unless every such pair is a cycle.  Its orbits must
-    not cycle."""
-    seen = set()
+    not cycle.  The pairs reached, (s, s) included, are added to `seen`."""
+    seen = set() if seen is None else seen
     verts = set()
 
     def ok(m, v):
@@ -385,6 +385,37 @@ def test_verify_lrpm_on_every_two_edge_forgery():
                 walk = _subcycle_walk(forged.u_next.get, forged.d_next.get, g.alpha, g.omega)
                 assert walk == expected, (values, forged)
     assert outcomes == {True, False}
+
+
+def test_subcycle_walk_steps_twice_per_reached_pair():
+    # a reached pair (m, v), m != v, lies once on m's U-record and once on
+    # v's D-record, and every step of a walk that succeeds adds one record
+    # state; the pair (s, s) costs no step
+    steps = 0
+
+    def counted(edges):
+        def step(s):
+            nonlocal steps
+            steps += 1
+            return edges.get(s)
+
+        return step
+
+    walked = 0
+    for n in range(1, 6):
+        for values in permutations(range(1, n + 1)):
+            g = build_bfs(make_permutation(values))
+            u_step, d_step = counted(g.u_next), counted(g.d_next)
+            pairs = product(g.vertices, repeat=2) if n <= 4 else [(g.alpha, g.omega)]
+            for mu, nu in pairs:
+                steps = 0
+                if _subcycle_walk(u_step, d_step, mu, nu) is None:
+                    continue
+                reached = set()
+                _recursive_walk(g, mu, nu, reached)
+                assert steps == 2 * sum(m != v for m, v in reached), (values, mu, nu)
+                walked += 1
+    assert walked > 600
 
 
 def test_verify_lrpm_rejects_edge_out_of_the_graph():
