@@ -11,16 +11,17 @@ and the subsequence length equals the nesting degree of the vertex: the
 minimal number of alternating blocks needed to reach it.
 
 `phi_all` labels every vertex in one breadth-first pass over the graph's
-successor maps read as vertex masks: `graph._closure`, the pass that also
-builds the breadth-first graph and raises `UniquenessViolation` (defined
-in `graph`, re-exported here).  `shortest_path` and
-`block_decomposition` are the path-by-path oracle route the tests compare
-it against, and `shortest_path_tree` builds their `LabeledEdge` steps, one
-per tree edge.  `nesting_degree_oracle` is a tree-free oracle: a
-level-by-level search over raw map applications on masks
-(`_alternation_masks`), level d holding the states first reached with d
-alternating blocks.  `cli.cmd_verify` takes the breadth-first maps and
-phi from one call of that pass and runs the search on masks.
+successor maps: `graph._closure`, the pass that also builds the
+breadth-first graph and raises `UniquenessViolation` (defined in `graph`,
+re-exported here).  `shortest_path` and `block_decomposition` are the
+path-by-path oracle route the tests compare it against, and
+`shortest_path_tree` builds their `LabeledEdge` steps, one per tree edge.
+`nesting_degree_oracle` is a tree-free oracle: a level-by-level search
+over raw map applications on masks (`_alternation_masks`), level d
+holding the states first reached with d alternating blocks.
+`cli.cmd_verify` takes the breadth-first maps and phi from one call of
+that pass and runs the search on masks.  Functions of a graph take and
+return configurations (`SpinConfig`) and work on its masks inside.
 
 `Staircase` is phi and its inverse in closed form: a vertex is a nested
 staircase of U- and D-wipes, one per subsequence value, so encoding a
@@ -48,7 +49,6 @@ from .graph import (
     UniquenessViolation,
     VertexBudgetExceeded,
     _closure,
-    _mask_maps,
     _mask_steppers,
     edge_label,
 )
@@ -225,8 +225,8 @@ def shortest_path_tree(g: PreisachGraph) -> dict[SpinConfig, LabeledEdge]:
     parents at the same depth.
     """
     parent: dict[SpinConfig, LabeledEdge] = {}
-    depth = {g.alpha: 0}
-    queue = deque([g.alpha])
+    depth = {0: 0}
+    queue = deque([0])
     while queue:
         v = queue.popleft()
         d = depth[v]
@@ -236,11 +236,12 @@ def shortest_path_tree(g: PreisachGraph) -> dict[SpinConfig, LabeledEdge]:
                 continue
             if t not in depth:
                 depth[t] = d + 1
-                parent[t] = LabeledEdge(v, t, kind, edge_label(v, t))
+                src, dst = g.config(v), g.config(t)
+                parent[dst] = LabeledEdge(src, dst, kind, edge_label(src, dst))
                 queue.append(t)
             elif depth[t] == d + 1:
                 raise UniquenessViolation(
-                    f"uniqueness violated: two shortest paths reach {t.spins}"
+                    f"uniqueness violated: two shortest paths reach {g.config(t).spins}"
                 )
     return parent
 
@@ -260,7 +261,7 @@ def _edges_to(
 
 def shortest_path(g: PreisachGraph, sigma: SpinConfig) -> Path:
     """The unique shortest path from alpha to sigma."""
-    if sigma not in g.vertices:
+    if sigma not in g:
         raise ValueError(f"not a vertex: {sigma.spins}")
     tree = shortest_path_tree(g)
     return Path(g.alpha, _edges_to(tree, g.alpha, sigma), sigma)
@@ -302,18 +303,17 @@ def phi(g: PreisachGraph, sigma: SpinConfig) -> tuple[int, ...]:
     """The increasing subsequence of a vertex: switch-back labels of its
     shortest path, reversed.  Read off its staircase (Staircase.decode) in
     O(n) once sigma is checked to be a vertex; the graph is not relabelled."""
-    if sigma not in g.vertices:
+    if sigma not in g:
         raise ValueError(f"not a vertex: {sigma.spins}")
     return Staircase(g.perm).decode(sigma.mask)
 
 
 def phi_all(g: PreisachGraph) -> dict[SpinConfig, tuple[int, ...]]:
     """phi for every vertex, labelled by the breadth-first pass (_closure)
-    on g's successor maps read as masks.  Its budget, one more than the
-    edge count, is one no graph can exceed."""
-    u_next, d_next = _mask_maps(g)
-    labels = _closure(g.alpha.mask, u_next.get, d_next.get, 1 + len(u_next) + len(d_next))[2]
-    return {SpinConfig._unchecked(g.n, m): s for m, s in labels.items()}
+    on g's successor maps.  Its budget, one more than the edge count, is
+    one no graph can exceed."""
+    labels = _closure(0, g.u_next.get, g.d_next.get, 1 + g.edge_count)[2]
+    return {g.config(m): s for m, s in labels.items()}
 
 
 def phi_inverse(g: PreisachGraph, values) -> SpinConfig:

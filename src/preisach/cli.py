@@ -15,7 +15,7 @@ from itertools import permutations as all_permutations
 from statistics import pstdev
 
 from .bijection import Staircase, _alternation_masks
-from .core import Permutation, SpinConfig, alpha, make_permutation, omega
+from .core import Permutation, SpinConfig, make_permutation
 from .graph import (
     DEFAULT_MAX_VERTICES,
     EdgeKind,
@@ -53,11 +53,20 @@ __all__ = [
 _VERIFY_ALL_LIMIT = 8
 
 
+def _fields(text: str) -> list[str]:
+    """The values of a comma- or whitespace-separated list; every comma
+    stands between two values."""
+    fields = [f.split() for f in text.split(",")]
+    if len(fields) > 1 and not all(fields):
+        raise ValueError(f"empty field in {text!r}")
+    return [tok for f in fields for tok in f]
+
+
 def parse_permutation(text: str) -> Permutation:
-    """Parse comma- or whitespace-separated values: "2,3,1" or "2 3 1"."""
-    tokens = text.replace(",", " ").split()
+    """Parse comma- or whitespace-separated values: "2,3,1" or "2 3 1".
+    An empty field ("2,,3", ",2" or "2,") is rejected."""
     values = []
-    for tok in tokens:
+    for tok in _fields(text):
         try:
             values.append(int(tok))
         except ValueError:
@@ -65,40 +74,49 @@ def parse_permutation(text: str) -> Permutation:
     return make_permutation(values)
 
 
-def parse_config(text: str, n: int) -> SpinConfig:
-    """Parse a sign string: character i is spin i, '+' up, '-' down."""
+# sign strings to the spins' bits, '+' up and '-' down, and back
+_BITS = str.maketrans("+-", "10")
+_SIGNS = str.maketrans("10", "+-")
+_NO_SIGNS = str.maketrans("", "", "+-")
+
+
+def _parse_mask(text: str, n: int) -> int:
+    """The vertex mask of a sign string: character i is spin i, '+' up."""
+    if type(text) is not str:
+        raise TypeError(f"sign string expected, got {text!r}")
     if len(text) != n:
         raise ValueError(f"expected {n} spins, got {len(text)}")
     if n < 1:
         raise ValueError("spin configuration must have at least one spin")
-    mask = 0
-    for i, ch in enumerate(text):
-        if ch == "+":
-            mask |= 1 << i
-        elif ch != "-":
-            raise ValueError(f"illegal character {ch!r}")
-    return SpinConfig._unchecked(n, mask)
+    if illegal := text.translate(_NO_SIGNS):
+        raise ValueError(f"illegal character {illegal[0]!r}")
+    return int(text[::-1].translate(_BITS), 2)
 
 
-# the spins' bits, '1' up and '0' down, to signs
-_SIGNS = str.maketrans("10", "+-")
+def _format_mask(mask: int, n: int) -> str:
+    return f"{mask:0{n}b}"[::-1].translate(_SIGNS)
+
+
+def parse_config(text: str, n: int) -> SpinConfig:
+    """Parse a sign string: character i is spin i, '+' up, '-' down."""
+    return SpinConfig._unchecked(n, _parse_mask(text, n))
 
 
 def format_config(sigma: SpinConfig) -> str:
-    return sigma._bits().translate(_SIGNS)
+    return _format_mask(sigma.mask, sigma.n)
 
 
 def _export_rows(g: PreisachGraph) -> tuple[list[str], list[tuple[str, str, str, int]]]:
     """The sign strings of the vertices in canonical order, and per vertex
     its U-edge then its D-edge as (from, to, kind, label).  A label is the
     one bit the two vertex masks differ in."""
-    name = {v: format_config(v) for v in g.canonical_vertices()}
+    name = {m: _format_mask(m, g.n) for m in g.canonical_masks()}
     rows = []
     for v, s in name.items():
         for kind, succ in (("U", g.u_next), ("D", g.d_next)):
             t = succ.get(v)
             if t is not None:
-                rows.append((s, name[t], kind, (v.mask ^ t.mask).bit_length()))
+                rows.append((s, name[t], kind, (v ^ t).bit_length()))
     return list(name.values()), rows
 
 
@@ -152,13 +170,13 @@ def load_json(text: str) -> PreisachGraph:
         for key in ("vertices", "edges"):
             if type(payload[key]) is not list:
                 raise ValueError(f"malformed graph JSON: {key} is not an array")
-        vertex_of = {s: parse_config(s, n) for s in payload["vertices"]}
+        mask_of = {s: _parse_mask(s, n) for s in payload["vertices"]}
         u_step, d_step = _mask_steppers(rho)
-        u_next: dict[SpinConfig, SpinConfig] = {}
-        d_next: dict[SpinConfig, SpinConfig] = {}
+        u_next: dict[int, int] = {}
+        d_next: dict[int, int] = {}
         for item in payload["edges"]:
-            src = vertex_of.get(item["from"])
-            dst = vertex_of.get(item["to"])
+            src = mask_of.get(item["from"])
+            dst = mask_of.get(item["to"])
             if src is None or dst is None:
                 raise ValueError(
                     f"edge {item['from']} -> {item['to']}: endpoint is not a listed vertex"
@@ -170,20 +188,19 @@ def load_json(text: str) -> PreisachGraph:
             edges = u_next if kind is EdgeKind.U else d_next
             if src in edges:
                 raise ValueError(f"second {kind.value}-edge from {item['from']}")
-            t = (u_step if kind is EdgeKind.U else d_step)(src.mask)
-            if t != dst.mask or label != (t ^ src.mask).bit_length():
+            t = (u_step if kind is EdgeKind.U else d_step)(src)
+            if t != dst or label != (t ^ src).bit_length():
                 raise ValueError(
                     f"edge {item['from']} -> {item['to']} label {label}: "
                     f"not the {kind.value}-transition of perm"
                 )
             edges[src] = dst
-        if len(vertex_of) != len(payload["vertices"]):
+        if len(mask_of) != len(payload["vertices"]):
             raise ValueError("a vertex is listed twice")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed graph JSON: {exc!r}") from None
-    vertices = frozenset(vertex_of.values())
-    bottom, top = alpha(n), omega(n)
-    if bottom not in vertices or top not in vertices:
+    vertices = set(mask_of.values())
+    if 0 not in vertices or (1 << n) - 1 not in vertices:
         raise ValueError("alpha or omega is not a listed vertex")
     # every source is a listed vertex, omega has no U-edge and alpha no
     # D-edge, so a short count means some listed vertex lacks its edge
@@ -197,7 +214,18 @@ def load_json(text: str) -> PreisachGraph:
         raise ValueError(
             f"{len(vertices)} vertices listed, perm has {count} increasing subsequences"
         )
-    return PreisachGraph(rho, vertices, u_next, d_next, bottom, top)
+    return PreisachGraph(rho, u_next, d_next)
+
+
+# the checks of a VerifyReport, in output order; it passes when all hold
+_CHECKS = (
+    "builders_agree",
+    "cardinality_ok",
+    "bijection_ok",
+    "nesting_ok",
+    "lrpm_ok",
+    "merge_identities_ok",
+)
 
 
 @dataclass
@@ -218,14 +246,7 @@ class VerifyReport:
     elapsed: float
 
     def passed(self) -> bool:
-        return (
-            self.builders_agree
-            and self.cardinality_ok
-            and self.bijection_ok
-            and self.nesting_ok
-            and self.lrpm_ok
-            and self.merge_identities_ok
-        )
+        return all(getattr(self, name) for name in _CHECKS)
 
 
 def cmd_verify(rho: Permutation, max_vertices: int = DEFAULT_MAX_VERTICES) -> VerifyReport:
@@ -428,34 +449,32 @@ def _format_subseq(values: tuple[int, ...]) -> str:
 
 
 def _parse_subseq(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if text in ("", "()"):
+    """Values as parse_permutation reads them; "()" or "" is the empty one."""
+    if text.strip() in ("", "()"):
         return ()
-    return tuple(int(tok) for tok in text.replace(",", " ").split())
+    return tuple(int(tok) for tok in _fields(text))
 
 
-def _print_verify_report(report: VerifyReport) -> None:
-    def flag(b: bool) -> str:
-        return "true" if b else "false"
-
-    print(f"perm={','.join(map(str, report.perm.values))}")
-    print(f"vertices={report.vertex_count}")
-    print(f"edges={report.edge_count}")
-    print(f"builders_agree={flag(report.builders_agree)}")
-    print(f"cardinality_ok={flag(report.cardinality_ok)}")
-    print(f"bijection_ok={flag(report.bijection_ok)}")
-    print(f"nesting_ok={flag(report.nesting_ok)}")
-    print(f"lrpm_ok={flag(report.lrpm_ok)}")
-    print(f"merge_identities_ok={flag(report.merge_identities_ok)}")
-    print(f"nesting_of_graph={report.nesting_of_graph}")
-    print(f"lis={report.lis}")
-    print(f"elapsed={report.elapsed:.6f}s")
-    print(f"result={'PASS' if report.passed() else 'FAIL'}")
+def _format_verify_report(report: VerifyReport) -> str:
+    lines = [
+        f"perm={','.join(map(str, report.perm.values))}",
+        f"vertices={report.vertex_count}",
+        f"edges={report.edge_count}",
+    ]
+    lines += [f"{name}={'true' if getattr(report, name) else 'false'}" for name in _CHECKS]
+    lines += [
+        f"nesting_of_graph={report.nesting_of_graph}",
+        f"lis={report.lis}",
+        f"elapsed={report.elapsed:.6f}s",
+        f"result={'PASS' if report.passed() else 'FAIL'}",
+    ]
+    return "\n".join(lines)
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
     g = build_bfs(parse_permutation(args.perm), args.max_vertices)
-    _write_out(f"vertices={len(g.vertices)} edges={g.edge_count}", args.out)
+    # every vertex but omega has a U-edge
+    _write_out(f"vertices={len(g.u_next) + 1} edges={g.edge_count}", args.out)
     return 0
 
 
@@ -501,7 +520,7 @@ def _cmd_phi_inverse(args: argparse.Namespace) -> int:
     rho = parse_permutation(args.perm)
     _charge_graph(rho, args.max_vertices)
     mask = Staircase(rho).encode(_parse_subseq(args.subseq))
-    _write_out(format_config(SpinConfig._unchecked(rho.n, mask)), args.out)
+    _write_out(_format_mask(mask, rho.n), args.out)
     return 0
 
 
@@ -525,7 +544,7 @@ def _cmd_lis(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     report = cmd_verify(parse_permutation(args.perm), args.max_vertices)
-    _print_verify_report(report)
+    _write_out(_format_verify_report(report), args.out)
     return 0 if report.passed() else 1
 
 

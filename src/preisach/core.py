@@ -133,14 +133,11 @@ class SpinConfig:
         """The spin sequence, spin 1 first."""
         return tuple([1 if self.mask >> j & 1 else -1 for j in range(self.n)])
 
-    def _bits(self) -> str:
-        """The spins as '1' (up) and '0' (down): orders as the spins do."""
-        return f"{self.mask:0{self.n}b}"[::-1]
-
     def __lt__(self, other: SpinConfig) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._bits() < other._bits()
+        # the spins as '1' (up) and '0' (down), spin 1 first, order as the spins do
+        return f"{self.mask:0{self.n}b}"[::-1] < f"{other.mask:0{other.n}b}"[::-1]
 
     def __repr__(self) -> str:
         return f"SpinConfig(spins={self.spins!r})"

@@ -2,31 +2,24 @@
 
 The graph has one vertex per spin configuration reachable from alpha under
 the up/down maps, a U-edge from every vertex except omega, and a D-edge from
-every vertex except alpha.  It is stored as two successor maps, `u_next`
-and `d_next`, from a vertex to the vertex its edge leads to; an edge's label
-is the one spin its two endpoints differ in (`edge_label`).  The
-fixed-point transitions at alpha and omega are never stored.
+every vertex except alpha.  A `PreisachGraph` holds it on vertex masks, bit
+i-1 set meaning spin i is up, as two successor maps, `u_next` and `d_next`;
+the keys of `u_next` and omega are the vertices.  An edge's label is the
+one bit its two masks differ in; the fixed-point transitions at alpha and
+omega are never stored.  `SpinConfig` is the view at the API boundary:
+`alpha`, `omega`, `vertices` and `sigma in g`.
 
 Two independent builders are provided.  `build_bfs` closes {alpha} under the
 two maps.  `build_forward` grows one graph of n-spin configurations value by
 value: the graph for the entries <= m+1 is the graph for the entries <= m,
 whose vertices all have spin m+1 down, plus a copy, with spin m+1 up, of the
 sub-loop hanging below the top vertex, joined by one U-edge and one D-edge
-labeled m+1.  The two results are equal as labeled graphs; the test suite
-checks this exhaustively for small sizes.
-
-Both builders run on vertex masks, bit i-1 set meaning spin i is up: U is
-m | (m + 1), D clears the first set bit in scan order, and an edge's label
-is the one bit of src ^ dst.  `_closure` is the one breadth-first pass: it
-closes a start state under two step functions and returns the U- and
-D-successor maps together with phi of every vertex, read off the
-shortest-path tree as the pass dequeues it, raising `UniquenessViolation`
-where two shortest paths meet.  `_forward_maps` returns the forward
-builder's maps.  `cli.cmd_verify` checks these dicts of masks directly;
-`build_bfs` and `build_forward` wrap each mask in a `SpinConfig`, which
-holds it as is, through one view, `_graph_of_maps`.  `_mask_maps` reads a
-built graph's maps back as dicts of masks, which `bijection.phi_all` labels
-with the same pass.
+labeled m+1.  The two results are equal; the test suite checks this
+exhaustively for small sizes.  On masks U is m | (m + 1) and D clears the
+first set bit in scan order.  `build_bfs` keeps the maps of `_closure`, the
+one breadth-first pass, which also labels phi of every vertex off the
+shortest-path tree and raises `UniquenessViolation` where two shortest
+paths meet; `build_forward` keeps those of `_forward_maps`.
 
 Cycles, absorption, loop return-point memory and loops follow the orbit
 definitions directly.  `loop_vertices` and `verify_lrpm` share one walk
@@ -37,9 +30,11 @@ target already on a record needs no work; a sub-cycle it pushes from one
 orbit's record lies on that orbit by construction, so it is checked on its
 other, open side only, and the trivial pairs (s, s) are never pushed.
 `build_forward` does not walk: by return-point memory the loop it copies
-is a plain closure (_loop_closure), with `loop_vertices` as its oracle.  Every step function here maps a state
-to its successor, or to None at a fixed point.  `check_lrpm` stays the
-literal recursive definition the tests cross-validate `verify_lrpm` against.
+is a plain closure (_loop_closure), with `loop_vertices` as its oracle.
+Every step function here maps a state to its successor, or to None at a
+fixed point.  The orbits, `cycle_of`, `check_absorption`, `check_lrpm`
+(the literal recursive definition `verify_lrpm` is tested against),
+`loop_vertices` and `decompose` are oracle routes on configurations.
 """
 
 from __future__ import annotations
@@ -107,23 +102,19 @@ class LabeledEdge:
     label: SpinIndex
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True)
 class PreisachGraph:
-    """The reachable configurations with their unique U- and D-successors.
-
-    Immutable after construction; equality compares the vertex sets and the
-    successor maps.  Unhashable on purpose: the successor maps are dicts, so
-    a hash over the fields cannot be formed.
+    """The reachable configurations with their unique U- and D-successors,
+    on vertex masks.  Immutable after construction; equality compares the
+    permutation and the successor maps.  Unhashable on purpose: the maps are
+    dicts, so a hash over the fields cannot be formed.
     """
 
     __hash__ = None  # type: ignore[assignment]
 
     perm: Permutation
-    vertices: frozenset[SpinConfig]
-    u_next: dict[SpinConfig, SpinConfig]
-    d_next: dict[SpinConfig, SpinConfig]
-    alpha: SpinConfig
-    omega: SpinConfig
+    u_next: dict[int, int]
+    d_next: dict[int, int]
 
     @property
     def n(self) -> int:
@@ -133,19 +124,49 @@ class PreisachGraph:
     def edge_count(self) -> int:
         return len(self.u_next) + len(self.d_next)
 
+    def config(self, mask: int) -> SpinConfig:
+        """The configuration of a vertex mask."""
+        return SpinConfig._unchecked(self.n, mask)
+
+    @property
+    def alpha(self) -> SpinConfig:
+        return self.config(0)
+
+    @property
+    def omega(self) -> SpinConfig:
+        return self.config((1 << self.n) - 1)
+
+    def _masks(self) -> tuple[int, ...]:
+        # every vertex but omega is a U-source
+        return (*self.u_next, (1 << self.n) - 1)
+
+    @property
+    def vertices(self) -> frozenset[SpinConfig]:
+        """The vertex configurations, made anew on each access."""
+        return frozenset(map(self.config, self._masks()))
+
+    def __contains__(self, sigma: SpinConfig) -> bool:
+        return sigma.n == self.n and (
+            sigma.mask in self.u_next or sigma.mask == (1 << self.n) - 1
+        )
+
+    def canonical_masks(self) -> list[int]:
+        """Vertex masks sorted by +1 count, then by spin sequence read from
+        spin 1 with down before up; the serialization order."""
+        n = self.n
+        return sorted(self._masks(), key=lambda m: (m.bit_count(), f"{m:0{n}b}"[::-1]))
+
     def canonical_vertices(self) -> list[SpinConfig]:
-        """Vertices sorted by (+1 count, spin sequence); the serialization order."""
-        return sorted(self.vertices, key=lambda v: (v.count_plus(), v._bits()))
+        """The configurations of canonical_masks(), in that order."""
+        return list(map(self.config, self.canonical_masks()))
 
 
 def edge_label(src: SpinConfig, dst: SpinConfig) -> SpinIndex:
     """The one spin src and dst differ in: the label of an edge src -> dst.
     Raises ValueError unless they differ in exactly one spin.
 
-    >>> g = build_bfs(Permutation((2, 3, 1)))
-    >>> top = SpinConfig((1, 1, -1))
-    >>> edge_label(top, g.u_next[top]), edge_label(top, g.d_next[top])
-    (3, 2)
+    >>> edge_label(SpinConfig((1, 1, -1)), SpinConfig((1, 1, 1)))
+    3
     """
     flip = src.mask ^ dst.mask
     if src.n != dst.n or not flip or flip & (flip - 1):
@@ -311,58 +332,29 @@ def _forward_maps(
     return u_next, d_next
 
 
-def _configs(masks, n: int) -> dict[int, SpinConfig]:
-    """The configuration of each vertex mask, on n spins."""
-    return {m: SpinConfig._unchecked(n, m) for m in masks}
-
-
-def _mask_maps(g: PreisachGraph) -> tuple[dict[int, int], dict[int, int]]:
-    """g's U- and D-successor maps as dicts of vertex masks."""
-    return tuple({s.mask: t.mask for s, t in m.items()} for m in (g.u_next, g.d_next))
-
-
-def _graph_of_maps(
-    rho: Permutation, u_next: dict[int, int], d_next: dict[int, int]
-) -> PreisachGraph:
-    """The PreisachGraph of mask successor maps, one SpinConfig per vertex."""
-    full = (1 << rho.n) - 1
-    # every vertex but omega has a U-edge
-    config = _configs((*u_next, full), rho.n)
-    return PreisachGraph(
-        rho,
-        frozenset(config.values()),
-        {config[s]: config[t] for s, t in u_next.items()},
-        {config[s]: config[t] for s, t in d_next.items()},
-        config[0],
-        config[full],
-    )
-
-
 def build_bfs(rho: Permutation, max_vertices: int = DEFAULT_MAX_VERTICES) -> PreisachGraph:
     """Close {alpha} under the two maps, recording every non-fixed-point
     transition as an edge.  From each dequeued vertex the U-successor
     is explored before the D-successor.  The pass also labels phi (see
-    _closure); the labels are dropped before the masks are wrapped."""
-    return _graph_of_maps(rho, *_closure(0, *_mask_steppers(rho), max_vertices)[:2])
+    _closure); the labels are dropped."""
+    u_next, d_next, _ = _closure(0, *_mask_steppers(rho), max_vertices)
+    return PreisachGraph(rho, u_next, d_next)
 
 
 def build_forward(rho: Permutation, max_vertices: int = DEFAULT_MAX_VERTICES) -> PreisachGraph:
     """Grow the graph value by value instead of closing under the maps.
 
     Every vertex carries all n spins from the start, a spin not yet added
-    being -1, so the graph of the entries <= m-1 already is the part of the
-    graph of the entries <= m with spin m down.  Step m (2 <= m <= n) grows
-    it in place: the loop between D^{k-1}(top) and the top vertex, k being
-    the position of m among the entries <= m, is duplicated with spin m
-    flipped to +1, keeping edge labels; one U-edge and one D-edge labeled m
-    join the two parts.  No vertex outside the duplicated loop, a plain
-    closure of top (_loop_closure), is touched.
-
-    The graph grows on vertex masks, so the copy of v is v | 1 << (m-1); each
-    mask is wrapped in a SpinConfig once, at return.  Returns a graph equal
+    being down, so the graph of the entries <= m-1 already is the part of
+    the graph of the entries <= m with spin m down.  Step m (2 <= m <= n)
+    grows it in place: the loop between D^{k-1}(top) and the top vertex, k
+    being the position of m among the entries <= m, is copied with spin m
+    up, v to v | 1 << (m-1), keeping edge labels; one U-edge and one D-edge
+    labeled m join the two parts.  No vertex outside the copied loop, a
+    plain closure of top (_loop_closure), is touched.  Returns a graph equal
     to build_bfs(rho).
     """
-    return _graph_of_maps(rho, *_forward_maps(rho, max_vertices))
+    return PreisachGraph(rho, *_forward_maps(rho, max_vertices))
 
 
 def u_orbit(rho: Permutation, sigma: SpinConfig) -> list[SpinConfig]:
@@ -526,19 +518,15 @@ def verify_lrpm(
     reached pair is an absorbing cycle", the recursive definition
     check_lrpm evaluates.
 
-    The walk runs on g's maps read as masks (_mask_maps), not on the
-    configurations, whose __eq__ would run in every scan of an orbit's
-    record.  An orbit that cycles never reaches its target, and an edge into
-    a state outside g.vertices, which has no edges of its own, ends its
-    orbit, so a pair that needs either is not a cycle and the result is
-    False.
+    An orbit that cycles never reaches its target, and an edge into a mask
+    that is no vertex, which has no edges of its own, ends its orbit, so a
+    pair that needs either is not a cycle and the result is False.
     """
-    mu = g.alpha if mu is None else mu
-    nu = g.omega if nu is None else nu
-    if mu not in g.vertices or nu not in g.vertices:
+    if any(sigma is not None and sigma not in g for sigma in (mu, nu)):
         raise ValueError("not a vertex")
-    u_next, d_next = _mask_maps(g)
-    return _subcycle_walk(u_next.get, d_next.get, mu.mask, nu.mask) is not None
+    bottom = 0 if mu is None else mu.mask
+    top = (1 << g.n) - 1 if nu is None else nu.mask
+    return _subcycle_walk(g.u_next.get, g.d_next.get, bottom, top) is not None
 
 
 def decompose(
@@ -553,19 +541,12 @@ def decompose(
     """
     rho = g.perm
     n = rho.n
-    top = g.alpha
-    for _ in range(n - 1):
-        top = g.u_next[top]
-    lower = loop_vertices(rho, cycle_of(rho, g.alpha, top))
-    k = rho.position_of(n)
-    bottom = g.omega
-    for _ in range(k - 1):
-        bottom = g.d_next[bottom]
-    upper = loop_vertices(rho, cycle_of(rho, bottom, g.omega))
-    up, down = g.u_next[top], g.d_next[bottom]
+    top = _apply_n(g.u_next.get, 0, n - 1)
+    bottom = _apply_n(g.d_next.get, (1 << n) - 1, rho.position_of(n) - 1)
+    top, up, bottom, down = map(g.config, (top, g.u_next[top], bottom, g.d_next[bottom]))
     return (
-        lower,
-        upper,
+        loop_vertices(rho, cycle_of(rho, g.alpha, top)),
+        loop_vertices(rho, cycle_of(rho, bottom, g.omega)),
         (
             LabeledEdge(top, up, EdgeKind.U, edge_label(top, up)),
             LabeledEdge(bottom, down, EdgeKind.D, edge_label(bottom, down)),

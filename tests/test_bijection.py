@@ -40,7 +40,7 @@ from preisach import (
 )
 from preisach.bijection import _alternation_masks, _edges_to
 from preisach.cli import random_permutation
-from preisach.graph import DEFAULT_MAX_VERTICES, _closure, _configs, _mask_steppers
+from preisach.graph import DEFAULT_MAX_VERTICES, _closure, _mask_steppers
 from strategies import permutations_st
 
 RHO231 = make_permutation([2, 3, 1])
@@ -76,15 +76,12 @@ def test_shortest_path_rejects_non_vertex():
 
 
 def test_uniqueness_tripwire_fires_on_a_forged_graph():
-    # a diamond with two equal-length routes; unreachable through the builders
-    a, b, c, d = cfg(-1, -1), cfg(1, -1), cfg(-1, 1), cfg(1, 1)
+    # a diamond with two equal-length routes, 00 -> 01 -> 11 and
+    # 00 -> 10 -> 11; unreachable through the builders
     g = PreisachGraph(
         perm=make_permutation([1, 2]),
-        vertices=frozenset({a, b, c, d}),
-        u_next={a: b, b: d, c: d},
-        d_next={a: c},
-        alpha=a,
-        omega=d,
+        u_next={0b00: 0b01, 0b01: 0b11, 0b10: 0b11},
+        d_next={0b00: 0b10},
     )
     for labelling in (shortest_path_tree, phi_all):
         with pytest.raises(UniquenessViolation, match="uniqueness violated"):
@@ -260,9 +257,11 @@ def test_bijection_exhaustive_small():
 def _assert_mask_labels_match_view(rho):
     labels = _closure(0, *_mask_steppers(rho), DEFAULT_MAX_VERTICES)[2]
     degrees = _alternation_masks(rho)
-    config = _configs(labels.keys() | degrees.keys(), rho.n)
-    assert {config[m]: s for m, s in labels.items()} == phi_all(build_bfs(rho))
-    assert {config[m]: d for m, d in degrees.items()} == alternation_degrees(rho)
+    def config(m):
+        return SpinConfig._unchecked(rho.n, m)
+
+    assert {config(m): s for m, s in labels.items()} == phi_all(build_bfs(rho))
+    assert {config(m): d for m, d in degrees.items()} == alternation_degrees(rho)
 
 
 def test_mask_labels_match_view_exhaustive_small():

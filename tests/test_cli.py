@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import hashlib
 import json
 import os
 import subprocess
@@ -61,6 +62,33 @@ def test_parse_permutation_rejects_non_integer():
         parse_permutation("2,x,1")
 
 
+def test_parse_permutation_separators():
+    for text in ("2,3,1", "2 3 1", "2, 3, 1", " 2 ,3 , 1 "):
+        assert parse_permutation(text) == RHO231
+
+
+@pytest.mark.parametrize("text", ["2,,3,1", ",2,3,1", "2,3,1,", "2, ,3,1", ","])
+def test_parse_permutation_rejects_empty_fields(text):
+    with pytest.raises(ValueError, match="empty field"):
+        parse_permutation(text)
+
+
+def test_cli_rejects_empty_fields(capsys):
+    for argv in (
+        ["lis", "--perm", "2,,3,1"],
+        ["lis", "--perm", "2,3,1,"],
+        ["phi-inverse", "--perm", "2,3,1", "--subseq", "2,,3"],
+        ["phi-inverse", "--perm", "2,3,1", "--subseq", ",3"],
+        ["phi-inverse", "--perm", "2,3,1", "--subseq", "2,"],
+    ):
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and "empty field" in err, argv
+    for subseq, vertex in (("()", "---"), ("", "---"), ("2, 3", "+-+"), ("2 3", "+-+")):
+        assert main(["phi-inverse", "--perm", "2,3,1", "--subseq", subseq]) == 0
+        assert capsys.readouterr().out == vertex + "\n", subseq
+
+
 def test_parse_config_examples():
     assert parse_config("---", 3) == alpha(3)
     assert parse_config("+-+", 3) == SpinConfig((1, -1, 1))
@@ -119,6 +147,19 @@ def test_load_json_rejects_mutated_edge(rho, data):
         )
     with pytest.raises(ValueError, match="transition"):
         load_json(json.dumps(payload))
+
+
+def test_exports_match_the_recorded_pool_digests():
+    # the two smallest graphs of the benchmark's export pool, about 8,300
+    # vertices each: both exports byte-identical to the recorded digests
+    pool_path = Path(__file__).resolve().parents[1] / "perfbench" / "export_pool.json"
+    pool = json.loads(pool_path.read_text(encoding="utf-8"))
+    for entry in sorted(pool, key=lambda entry: entry["vertices"])[:2]:
+        g = build_bfs(make_permutation(entry["perm"]))
+        text = export_json(g)
+        assert hashlib.sha256(text.encode()).hexdigest() == entry["json_sha256"]
+        assert hashlib.sha256(export_dot(g).encode()).hexdigest() == entry["dot_sha256"]
+        assert load_json(text) == g
 
 
 def test_exports_are_deterministic():
@@ -430,6 +471,7 @@ def _with_unreachable_vertex() -> str:
         ('{"n":1,"vertices":["-","+"],"edges":[]}', "malformed.*perm"),
         ('{"n":1,"perm":[1],"vertices":["-","+"],"edges":["U"]}', "malformed"),
         ('{"n":1,"perm":[1],"vertices":[1,2],"edges":[]}', "malformed"),
+        ('{"n":1,"perm":[1],"vertices":[["-"],["+"]],"edges":[]}', "malformed"),
         (
             '{"n":2,"perm":[1,2],"vertices":["--"],'
             '"edges":[{"from":"++","to":"--","kind":"U","label":7}]}',
@@ -516,6 +558,7 @@ def _with_unreachable_vertex() -> str:
         "missing-perm",
         "edge-not-an-object",
         "vertex-not-a-string",
+        "vertex-a-list",
         "endpoint-not-a-vertex",
         "label-out-of-range",
         "second-edge-of-one-kind",
@@ -567,6 +610,27 @@ def test_cli_export_to_file(tmp_path):
 def test_cli_out_to_unwritable_path(tmp_path, capsys):
     out = tmp_path / "missing" / "x"
     assert main(["build", "--perm", "1,2,3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_cli_verify_writes_its_report_to_out(tmp_path, capsys):
+    # the same lines as on stdout, elapsed time excepted
+    def lines(text):
+        return [line for line in text.splitlines() if not line.startswith("elapsed=")]
+
+    assert main(["verify", "--perm", "2,3,1"]) == 0
+    stdout = capsys.readouterr().out
+    out = tmp_path / "report.txt"
+    assert main(["verify", "--perm", "2,3,1", "--out", str(out)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert lines(out.read_text(encoding="utf-8")) == lines(stdout)
+    assert len(lines(stdout)) == 12
+
+
+def test_cli_verify_to_unwritable_path(tmp_path, capsys):
+    out = tmp_path / "missing" / "x"
+    assert main(["verify", "--perm", "2,3,1", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
 

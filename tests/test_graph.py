@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from dataclasses import replace
 from itertools import combinations, permutations, product
 from pathlib import Path
@@ -26,6 +27,7 @@ from preisach import (
     d_orbit,
     decompose,
     edge_label,
+    enumerate_increasing,
     i_minus,
     i_plus,
     invert,
@@ -38,9 +40,9 @@ from preisach import (
     u_orbit,
     verify_lrpm,
 )
-from preisach.cli import random_permutation
+from preisach.cli import export_dot, export_json, random_permutation
 from preisach.graph import (
-    _configs,
+    _closure,
     _forward_maps,
     _loop_closure,
     _mask_steppers,
@@ -65,15 +67,18 @@ def test_build_bfs_fig_instance():
         cfg(1, -1, 1),
     }
     assert g.edge_count == 8
-    u_edges = {(v.spins, t.spins, edge_label(v, t)) for v, t in g.u_next.items()}
-    assert u_edges == {
+
+    def edges(succ):
+        pairs = [(g.config(v), g.config(t)) for v, t in succ.items()]
+        return {(v.spins, t.spins, edge_label(v, t)) for v, t in pairs}
+
+    assert edges(g.u_next) == {
         ((-1, -1, -1), (1, -1, -1), 1),
         ((1, -1, -1), (1, 1, -1), 2),
         ((1, 1, -1), (1, 1, 1), 3),
         ((1, -1, 1), (1, 1, 1), 2),
     }
-    d_edges = {(v.spins, t.spins, edge_label(v, t)) for v, t in g.d_next.items()}
-    assert d_edges == {
+    assert edges(g.d_next) == {
         ((1, -1, -1), (-1, -1, -1), 1),
         ((1, 1, -1), (1, -1, -1), 2),
         ((1, 1, 1), (1, -1, 1), 2),
@@ -169,8 +174,8 @@ def test_mask_steppers_match_maps():
         for values in permutations(range(1, n + 1)):
             rho = make_permutation(values)
             u_step, d_step = _mask_steppers(rho)
-            configs = _configs(range(1 << n), n)
-            for m, sigma in configs.items():
+            for m in range(1 << n):
+                sigma = SpinConfig._unchecked(n, m)
                 assert sigma.spins == tuple(1 if m >> j & 1 else -1 for j in range(n))
                 assert mask(sigma) == m
                 i = i_plus(sigma)
@@ -185,11 +190,12 @@ def test_edge_count_and_labels(rho):
     assert g.edge_count == 2 * len(g.vertices) - 2
     for kind, succ in ((EdgeKind.U, g.u_next), (EdgeKind.D, g.d_next)):
         for src, dst in succ.items():
+            src, dst = g.config(src), g.config(dst)
             label = edge_label(src, dst)
             assert dst == src.flipped(label)
             expected = -1 if kind is EdgeKind.U else 1
             assert src.spins[label - 1] == expected
-            assert dst in g.vertices
+            assert dst in g
 
 
 @pytest.mark.parametrize(
@@ -289,10 +295,9 @@ def test_verify_lrpm_rejects_forged_graph():
     # a cycle, but its reached sub-cycle (+--, ++-) is not: D from ++- now
     # skips +--
     g = build_bfs(RHO231)
-    src = cfg(1, 1, -1)
-    assert g.d_next[src] == cfg(1, -1, -1)
+    assert g.d_next[0b011] == 0b001
     d_next = dict(g.d_next)
-    d_next[src] = alpha(3)
+    d_next[0b011] = 0b000
     assert verify_lrpm(replace(g, d_next=d_next)) is False
 
 
@@ -309,10 +314,11 @@ def _chain(edges, start, target):
 
 
 def _recursive_walk(g, mu, nu, seen=None):
-    """The literal recursive definition on the graph's own edges: the union
-    of the boundaries of every pair reached through the boundaries of
-    (mu, nu), or None unless every such pair is a cycle.  Its orbits must
-    not cycle.  The pairs reached, (s, s) included, are added to `seen`."""
+    """The literal recursive definition on the graph's own edges, on vertex
+    masks: the union of the boundaries of every pair reached through the
+    boundaries of (mu, nu), or None unless every such pair is a cycle.  Its
+    orbits must not cycle.  The pairs reached, (s, s) included, are added
+    to `seen`."""
     seen = set() if seen is None else seen
     verts = set()
 
@@ -332,16 +338,15 @@ def _recursive_walk(g, mu, nu, seen=None):
 
 def _forgeries(g, edits):
     """g with `edits` of its edges redirected, in every way that moves each
-    to another state with more (U) or fewer (D) +1 spins than its source,
+    to another mask with more (U) or fewer (D) +1 spins than its source,
     in or out of the graph, so no orbit cycles (that case runs in a child
     process below)."""
-    states = [SpinConfig._unchecked(g.n, m) for m in range(1 << g.n)]
     options = [
         (field, src, dst)
         for field, sign in (("u_next", 1), ("d_next", -1))
         for src, old in getattr(g, field).items()
-        for dst in states
-        if dst != old and sign * (dst.count_plus() - src.count_plus()) > 0
+        for dst in range(1 << g.n)
+        if dst != old and sign * (dst.bit_count() - src.bit_count()) > 0
     ]
     for picks in combinations(options, edits):
         if len({(field, src) for field, src, _ in picks}) < edits:
@@ -360,12 +365,13 @@ def test_verify_lrpm_on_every_single_edge_forgery():
     for n in range(1, 5):
         for values in permutations(range(1, n + 1)):
             g = build_bfs(make_permutation(values))
+            ends = (0, (1 << n) - 1)
             for forged in _forgeries(g, 1):
-                expected = _recursive_walk(forged, g.alpha, g.omega)
+                expected = _recursive_walk(forged, *ends)
                 got = verify_lrpm(forged)
                 assert got == (expected is not None), (values, forged)
                 outcomes.add(got)
-                pairs = product(g.vertices, repeat=2) if n <= 3 else [(g.alpha, g.omega)]
+                pairs = product(g.canonical_masks(), repeat=2) if n <= 3 else [ends]
                 for mu, nu in pairs:
                     walk = _subcycle_walk(forged.u_next.get, forged.d_next.get, mu, nu)
                     assert walk == _recursive_walk(forged, mu, nu), (values, forged, mu, nu)
@@ -377,12 +383,13 @@ def test_verify_lrpm_on_every_two_edge_forgery():
     for n in range(1, 4):
         for values in permutations(range(1, n + 1)):
             g = build_bfs(make_permutation(values))
+            ends = (0, (1 << n) - 1)
             for forged in _forgeries(g, 2):
-                expected = _recursive_walk(forged, g.alpha, g.omega)
+                expected = _recursive_walk(forged, *ends)
                 got = verify_lrpm(forged)
                 assert got == (expected is not None), (values, forged)
                 outcomes.add(got)
-                walk = _subcycle_walk(forged.u_next.get, forged.d_next.get, g.alpha, g.omega)
+                walk = _subcycle_walk(forged.u_next.get, forged.d_next.get, *ends)
                 assert walk == expected, (values, forged)
     assert outcomes == {True, False}
 
@@ -406,7 +413,7 @@ def test_subcycle_walk_steps_twice_per_reached_pair():
         for values in permutations(range(1, n + 1)):
             g = build_bfs(make_permutation(values))
             u_step, d_step = counted(g.u_next), counted(g.d_next)
-            pairs = product(g.vertices, repeat=2) if n <= 4 else [(g.alpha, g.omega)]
+            pairs = product(g.canonical_masks(), repeat=2) if n <= 4 else [(0, (1 << n) - 1)]
             for mu, nu in pairs:
                 steps = 0
                 if _subcycle_walk(u_step, d_step, mu, nu) is None:
@@ -422,10 +429,9 @@ def test_verify_lrpm_rejects_edge_out_of_the_graph():
     # the D-edge of ++- redirected to -+-, which is not a vertex: the
     # D-orbit of omega then leaves the graph and never reaches alpha
     g = build_bfs(RHO231)
-    src = cfg(1, 1, -1)
-    assert cfg(-1, 1, -1) not in g.vertices
+    assert cfg(-1, 1, -1) not in g
     d_next = dict(g.d_next)
-    d_next[src] = cfg(-1, 1, -1)
+    d_next[0b011] = 0b010
     assert verify_lrpm(replace(g, d_next=d_next)) is False
 
 
@@ -438,12 +444,11 @@ def test_verify_lrpm_returns_on_a_cycling_orbit():
         """
         import resource
         from dataclasses import replace
-        from preisach import SpinConfig, alpha, build_bfs, make_permutation, verify_lrpm
+        from preisach import build_bfs, make_permutation, verify_lrpm
         resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
         g = build_bfs(make_permutation([2, 3, 1]))
-        src = SpinConfig((1, 1, -1))
         u_next = dict(g.u_next)
-        u_next[src] = alpha(3)
+        u_next[0b011] = 0b000
         print(verify_lrpm(replace(g, u_next=u_next)))
         """
     )
@@ -537,6 +542,49 @@ def test_loop_closure_matches_loop_vertices_exhaustive_small():
 def test_loop_closure_matches_subcycle_walk_wide(index):
     for _, u_next, d_next, bottom, top in _forward_steps(random_permutation(22, 11, index)):
         _assert_closure_is_walk(u_next, d_next, bottom, top)
+
+
+def _assert_loop_sizes(rho):
+    """At each forward step m the copied loop has as many vertices as rho
+    has increasing subsequences ending at value m, and its copies are the
+    vertices whose breadth-first phi label ends in m."""
+    ending = Counter(s[-1] for s in enumerate_increasing(rho) if s)
+    labels = _closure(0, *_mask_steppers(rho), count_increasing(rho))[2]
+    for m, (_, u_next, d_next, bottom, top) in enumerate(_forward_steps(rho), 2):
+        loop = _loop_closure(u_next, d_next, bottom, top)
+        assert len(loop) == ending[m], (rho.values, m)
+        copies = {v | 1 << (m - 1) for v in loop}
+        assert copies == {v for v, s in labels.items() if s and s[-1] == m}, (rho.values, m)
+
+
+def test_forward_loop_sizes_exhaustive_small():
+    for n in range(2, 8):
+        for values in permutations(range(1, n + 1)):
+            _assert_loop_sizes(make_permutation(values))
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_forward_loop_sizes_wide(index):
+    _assert_loop_sizes(random_permutation(22, 11, index))
+
+
+@pytest.mark.parametrize(
+    "rho", [RHO231, random_permutation(22, 0, 0)], ids=["2,3,1", "n22"]
+)
+def test_builders_exports_and_lrpm_make_no_configuration(rho, monkeypatch):
+    # the graph is held as masks: SpinConfig is only the view at the API
+    # boundary, and none of these calls cross it
+    def refuse(*args, **kwargs):
+        raise AssertionError("a SpinConfig was made")
+
+    monkeypatch.setattr(SpinConfig, "__init__", refuse)
+    monkeypatch.setattr(SpinConfig, "_unchecked", classmethod(refuse))
+    with pytest.raises(AssertionError, match="SpinConfig was made"):
+        alpha(rho.n)
+    for build in (build_bfs, build_forward):
+        g = build(rho)
+        assert export_json(g) and export_dot(g)
+        assert verify_lrpm(g)
 
 
 def test_loop_vertices_rejects_non_absorbing():
