@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -53,25 +54,24 @@ __all__ = [
 _VERIFY_ALL_LIMIT = 8
 
 
-def _fields(text: str) -> list[str]:
-    """The values of a comma- or whitespace-separated list; every comma
-    stands between two values."""
+def _integers(text: str) -> list[int]:
+    """The values of a comma- or whitespace-separated list, each a plain
+    ASCII integer (-?[0-9]+); every comma stands between two values."""
     fields = [f.split() for f in text.split(",")]
     if len(fields) > 1 and not all(fields):
         raise ValueError(f"empty field in {text!r}")
-    return [tok for f in fields for tok in f]
+    tokens = [tok for f in fields for tok in f]
+    for tok in tokens:
+        if not re.fullmatch(r"-?[0-9]+", tok):
+            raise ValueError(f"non-integer token {tok!r}")
+    return list(map(int, tokens))
 
 
 def parse_permutation(text: str) -> Permutation:
     """Parse comma- or whitespace-separated values: "2,3,1" or "2 3 1".
-    An empty field ("2,,3", ",2" or "2,") is rejected."""
-    values = []
-    for tok in _fields(text):
-        try:
-            values.append(int(tok))
-        except ValueError:
-            raise ValueError(f"non-integer token {tok!r}") from None
-    return make_permutation(values)
+    An empty field ("2,,3", ",2" or "2,") or a value that is not a plain
+    ASCII integer ("+2", "1_0") is rejected."""
+    return make_permutation(_integers(text))
 
 
 # sign strings to the spins' bits, '+' up and '-' down, and back
@@ -340,7 +340,6 @@ def cmd_verify_all(n: int, max_vertices: int = DEFAULT_MAX_VERTICES) -> VerifyAl
 
 
 _MASK64 = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
 
 
 def _mix64(x: int) -> int:
@@ -350,37 +349,27 @@ def _mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-class _SplitMix64:
-    """splitmix64: tiny, fast, and identical on every platform."""
-
-    def __init__(self, key: int) -> None:
-        self._state = key & _MASK64
-
-    def next64(self) -> int:
-        self._state = (self._state + _GOLDEN) & _MASK64
-        return _mix64(self._state)
-
-    def below(self, bound: int) -> int:
-        """Uniform integer in [0, bound), unbiased via rejection sampling."""
-        limit = (1 << 64) - ((1 << 64) % bound)
-        while True:
-            x = self.next64()
-            if x < limit:
-                return x % bound
-
-
 def random_permutation(n: int, seed: int, index: int) -> Permutation:
     """Uniform permutation from a stream keyed by (seed, index).
 
-    Fisher-Yates driven by splitmix64; the same arguments give the same
-    permutation everywhere, and distinct indices give independent streams,
-    so samples can be drawn in any order or in parallel.
-    """
-    rng = _SplitMix64(_mix64(seed) + index)
+    Fisher-Yates driven by splitmix64 inline, from state _mix64(seed) +
+    index.  A draw x for bound b is kept iff x < 2^64 - 2^64 % b, that is
+    iff the next multiple of b above x is at most 2^64, so x % b is
+    unbiased.  Distinct indices give independent streams, so samples can
+    be drawn in any order or in parallel."""
+    state = (_mix64(seed) + index) & _MASK64
     values = list(range(1, n + 1))
-    for i in range(n - 1, 0, -1):
-        j = rng.below(i + 1)
-        values[i], values[j] = values[j], values[i]
+    for bound in range(n, 1, -1):
+        while True:
+            # the golden-ratio increment, then _mix64 inline
+            state = (state + 0x9E3779B97F4A7C15) & _MASK64
+            x = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+            x ^= x >> 31
+            j = x % bound
+            if x - j + bound <= 1 << 64:
+                break
+        values[bound - 1], values[j] = values[j], values[bound - 1]
     return Permutation(tuple(values))
 
 
@@ -396,15 +385,23 @@ class StatsReport:
     nesting_checked: int
 
 
+def _graph_size(rho: Permutation, lis: int, max_vertices: int) -> int:
+    """count_increasing(rho), the vertex count of G(rho), or 2**lis when
+    that lower bound (subsets of an increasing subsequence are increasing)
+    is already over max_vertices; lis is the LIS length of rho."""
+    bound = 1 << lis
+    return bound if bound > max_vertices else count_increasing(rho)
+
+
 def cmd_stats(
     n: int, samples: int, seed: int, max_vertices: int = DEFAULT_MAX_VERTICES
 ) -> StatsReport:
     """Sample permutations, report the LIS mean and population stddev, and,
-    for every sample whose graph fits the vertex budget (decided exactly via
-    count_increasing before building), confirm graph nesting = LIS from
+    for every sample whose graph fits the vertex budget (decided exactly
+    before building, by the 2**LIS lower bound first and count_increasing
+    only when that does not settle it), confirm graph nesting = LIS from
     the phi labels of one breadth-first pass on masks, the pass cmd_verify
-    uses.  A budget below 1 raises
-    VertexBudgetExceeded, as the builders do."""
+    uses.  A budget below 1 raises VertexBudgetExceeded, as builders do."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     if max_vertices < 1:
@@ -415,12 +412,10 @@ def cmd_stats(
         rho = random_permutation(n, seed, index)
         lis = lis_patience(rho)
         lis_values.append(lis)
-        if count_increasing(rho) <= max_vertices:
+        if _graph_size(rho, lis, max_vertices) <= max_vertices:
             images = _closure(0, *_mask_steppers(rho), max_vertices)[2]
             if max(map(len, images.values())) != lis:
-                raise RuntimeError(
-                    f"graph nesting != LIS for {rho.values}"
-                )
+                raise RuntimeError(f"graph nesting != LIS for {rho.values}")
             checked += 1
     mean = sum(lis_values) / samples
     stddev = pstdev(lis_values)
@@ -435,10 +430,10 @@ def cmd_stats(
 
 
 def _write_out(text: str, out: str | None) -> None:
+    if not text.endswith("\n"):
+        text += "\n"
     if out is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -452,7 +447,7 @@ def _parse_subseq(text: str) -> tuple[int, ...]:
     """Values as parse_permutation reads them; "()" or "" is the empty one."""
     if text.strip() in ("", "()"):
         return ()
-    return tuple(int(tok) for tok in _fields(text))
+    return tuple(_integers(text))
 
 
 def _format_verify_report(report: VerifyReport) -> str:
@@ -493,10 +488,11 @@ def _cmd_export_json(args: argparse.Namespace) -> int:
 def _charge_graph(rho: Permutation, max_vertices: int) -> None:
     """Raise VertexBudgetExceeded, with the same message, exactly where
     build_bfs(rho, max_vertices) would, without building: the graph has
-    count_increasing(rho) vertices."""
+    count_increasing(rho) vertices, decided as cmd_stats decides it, by
+    the 2**LIS lower bound first."""
     if max_vertices < 1:
         raise VertexBudgetExceeded("vertex budget exceeded: budget is empty")
-    _charge(count_increasing(rho), max_vertices)
+    _charge(_graph_size(rho, lis_patience(rho), max_vertices), max_vertices)
 
 
 def _phi_of(rho: Permutation, text: str) -> tuple[int, ...]:

@@ -39,6 +39,7 @@ from preisach.cli import (
     parse_permutation,
     random_permutation,
 )
+from preisach.graph import DEFAULT_MAX_VERTICES, _charge
 from strategies import permutations_st
 
 RHO231 = make_permutation([2, 3, 1])
@@ -60,6 +61,22 @@ def test_parse_permutation_rejects_duplicate():
 def test_parse_permutation_rejects_non_integer():
     with pytest.raises(ValueError, match="non-integer token"):
         parse_permutation("2,x,1")
+
+
+@pytest.mark.parametrize("token", ["1_0", "+2", "\u0662", "\uff12", "1.0", "0x1", "--1", "1-", "x"])
+def test_cli_reads_only_plain_ascii_integers(token, capsys):
+    # int() would take "1_0" as 10, and "+2", Arabic-Indic or fullwidth
+    # digits as 2
+    with pytest.raises(ValueError, match="non-integer token"):
+        parse_permutation(f"{token},2,3")
+    for argv in (
+        ["lis", "--perm", f"2,{token},1"],
+        ["phi-inverse", "--perm", "2,3,1", f"--subseq={token},3"],
+    ):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr() == ("", f"error: non-integer token {token!r}\n"), argv
+    assert main(["lis", "--perm", "2,-1,1"]) == 2
+    assert capsys.readouterr().err == "error: value -1 out of range 1..3\n"
 
 
 def test_parse_permutation_separators():
@@ -295,6 +312,73 @@ def test_random_permutation_is_uniform_enough():
         assert abs(c - 20_000) <= three_sigma
 
 
+def _mix64(x):
+    x &= (1 << 64) - 1
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & ((1 << 64) - 1)
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & ((1 << 64) - 1)
+    return x ^ (x >> 31)
+
+
+class _SplitMix64:
+    """splitmix64 as a stream object: one draw per next64, and below(b)
+    rejects a draw unless it is under the largest multiple of b that fits
+    in 64 bits.  The reference for random_permutation's inline loop."""
+
+    def __init__(self, key):
+        self._state = key & ((1 << 64) - 1)
+
+    def next64(self):
+        self._state = (self._state + 0x9E3779B97F4A7C15) & ((1 << 64) - 1)
+        return _mix64(self._state)
+
+    def below(self, bound):
+        limit = (1 << 64) - ((1 << 64) % bound)
+        while True:
+            x = self.next64()
+            if x < limit:
+                return x % bound
+
+
+def _fisher_yates(n, seed, index):
+    rng = _SplitMix64(_mix64(seed) + index)
+    values = list(range(1, n + 1))
+    for i in range(n - 1, 0, -1):
+        j = rng.below(i + 1)
+        values[i], values[j] = values[j], values[i]
+    return tuple(values)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 22, 400])
+def test_random_permutation_follows_the_splitmix64_oracle(n):
+    for seed in (0, 1, 7, -3, (1 << 64) + 5):
+        for index in (*range(20), (1 << 64) - 1, 1 << 70):
+            assert random_permutation(n, seed, index).values == _fisher_yates(n, seed, index)
+
+
+def test_random_permutation_stream_is_pinned():
+    # every (seed, index) names one fixed stream: a digest of 150 of them
+    digest = hashlib.sha256()
+    for seed in range(3):
+        for index in range(50):
+            values = random_permutation(400, seed, index).values
+            digest.update(",".join(map(str, values)).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "0b876e1d03c6ae5e68a82874f8b42a99e3b2dfbc04ba8865e12cea11c653abf6"
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 6), st.integers(0, 1 << 64))
+def test_cmd_stats_nesting_checked_is_the_naive_budget_count(n, samples, seed):
+    # at the 2**LIS bound of the first sample, one below it, and at and
+    # below its vertex count, every graph within the budget is checked
+    counts = [count_increasing(random_permutation(n, seed, i)) for i in range(samples)]
+    bound = 2 ** lis_patience(random_permutation(n, seed, 0))
+    for budget in (1, bound - 1, bound, counts[0] - 1, counts[0]):
+        report = cmd_stats(n, samples, seed, budget)
+        assert report.nesting_checked == sum(c <= budget for c in counts), budget
+
+
 def test_cmd_stats_single_spin():
     report = cmd_stats(1, 5, 3)
     assert report.lis_mean == 1.0 and report.lis_stddev == 0.0
@@ -400,6 +484,35 @@ def test_cli_codec_commands_keep_the_graph_budget(argv, answer, capsys):
         assert (out, err) == ("", f"error: {exc.value}\n")
 
 
+def _no_count(rho):
+    raise AssertionError(f"counted the subsequences of a {rho.n}-permutation")
+
+
+@pytest.mark.parametrize("command", ["phi", "phi-inverse", "nesting"])
+def test_cli_codec_commands_refuse_below_the_lis_bound_without_counting(
+    command, monkeypatch, capsys
+):
+    # a budget under 2**LIS is refused with build_bfs's message and no
+    # count: at n=400 (LIS about 36) the count was the whole cost of it
+    monkeypatch.setattr(preisach.cli, "count_increasing", _no_count)
+    cases = [
+        (make_permutation([2, 4, 3, 5, 1]), (1, 7)),
+        (random_permutation(400, 0, 0), (1, 1000, DEFAULT_MAX_VERTICES)),
+    ]
+    for rho, budgets in cases:
+        assert 2 ** lis_patience(rho) > max(budgets)
+        arg = ["--subseq", "()"] if command == "phi-inverse" else ["--vertex=" + "-" * rho.n]
+        perm = ",".join(map(str, rho.values))
+        for budget in budgets:
+            assert main([command, *arg, "--perm", perm, "--max-vertices", str(budget)]) == 3
+            with pytest.raises(VertexBudgetExceeded) as exc:
+                if budget < DEFAULT_MAX_VERTICES:
+                    build_bfs(rho, budget)
+                else:  # build_bfs raises here too, after 2^20 vertices
+                    _charge(budget + 1, budget)
+            assert capsys.readouterr() == ("", f"error: {exc.value}\n")
+
+
 @pytest.mark.parametrize(
     "values", [(2, 3, 1), tuple(range(1, 7)), tuple(range(6, 0, -1))], ids=str
 )
@@ -425,7 +538,7 @@ def test_cli_codec_commands_reject_non_vertices_and_non_subsequences(capsys):
         (["phi-inverse", "--subseq", "3,2"], "not an increasing subsequence"),
         (["phi-inverse", "--subseq", "1,3"], "not an increasing subsequence"),
         (["phi-inverse", "--subseq", "4"], "value 4 out of range"),
-        (["phi-inverse", "--subseq", "x"], "invalid literal"),
+        (["phi-inverse", "--subseq", "x"], "non-integer token 'x'"),
     ]:
         assert main([*argv, "--perm", "2,3,1"]) == 2, argv
         assert message in capsys.readouterr().err, argv
@@ -626,6 +739,30 @@ def test_cli_verify_writes_its_report_to_out(tmp_path, capsys):
     assert capsys.readouterr() == ("", "")
     assert lines(out.read_text(encoding="utf-8")) == lines(stdout)
     assert len(lines(stdout)) == 12
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lis", "--perm", "2,3,1"],
+        ["export-json", "--perm", "2,4,3,5,1"],
+        ["verify", "--perm", "2,3,1"],
+    ],
+    ids=["lis", "export-json", "verify"],
+)
+def test_cli_out_file_holds_the_stdout_bytes(argv, tmp_path, capsys):
+    # one final newline in both, the elapsed time excepted
+    def without_elapsed(data):
+        lines = data.splitlines(keepends=True)
+        return b"".join(line for line in lines if not line.startswith(b"elapsed="))
+
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out.encode("utf-8")
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert without_elapsed(out.read_bytes()) == without_elapsed(stdout)
+    assert stdout.endswith(b"\n") and not stdout.endswith(b"\n\n")
 
 
 def test_cli_verify_to_unwritable_path(tmp_path, capsys):

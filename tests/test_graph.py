@@ -16,6 +16,7 @@ from preisach import (
     Cycle,
     EdgeKind,
     SpinConfig,
+    Staircase,
     VertexBudgetExceeded,
     alpha,
     build_bfs,
@@ -31,6 +32,7 @@ from preisach import (
     i_minus,
     i_plus,
     invert,
+    lis_patience,
     loop_vertices,
     make_permutation,
     merge_identity_bottom,
@@ -42,6 +44,7 @@ from preisach import (
 )
 from preisach.cli import export_dot, export_json, random_permutation
 from preisach.graph import (
+    _apply_n,
     _closure,
     _forward_maps,
     _loop_closure,
@@ -650,6 +653,54 @@ def test_inverse_permutation_invariants(rho):
     gi = build_bfs(invert(rho))
     assert len(g.vertices) == len(gi.vertices)
     assert sorted(nesting_degrees(g).values()) == sorted(nesting_degrees(gi).values())
+
+
+def _assert_inverse_duality(rho):
+    # delta(m) sets bit p-1 exactly when spin rho_p is down in m, so spin s
+    # of m shows, inverted, as spin pos(s) of delta(m).  U on rho raises the
+    # down spin s of least index; D on rho^-1 scans spins pos(1), pos(2), ...
+    # and lowers the first up one, pos(s).  Likewise for D on rho and U on
+    # rho^-1.  So delta carries G(rho) onto G(rho^-1) with the two maps
+    # swapped and alpha sent to omega.
+    n = rho.n
+    full = (1 << n) - 1
+
+    def delta(m):
+        return full ^ sum(1 << p for p, v in enumerate(rho.values) if m >> (v - 1) & 1)
+
+    inv = invert(rho)
+    g = build_bfs(rho)
+    gi = build_bfs(inv)
+    assert {delta(a): delta(b) for a, b in g.u_next.items()} == gi.d_next
+    assert {delta(a): delta(b) for a, b in g.d_next.items()} == gi.u_next
+    assert (delta(0), delta(full)) == (full, 0)
+
+    # the merge identities trade places: D^{k-1} U^{n-1} alpha on rho, with
+    # rho_k = n, is U^{q-1} D^{n-1} omega on rho^-1, with q = inv_n = k
+    assert merge_identity_top(rho) == merge_identity_bottom(inv)
+    k = rho.position_of(n)
+    u, d = _mask_steppers(rho)
+    ui, di = _mask_steppers(inv)
+
+    assert inv.values[-1] == k
+    top = _apply_n(d, _apply_n(u, 0, n - 1), k - 1)
+    assert delta(top) == _apply_n(ui, _apply_n(di, full, n - 1), k - 1)
+
+    # phi on rho^-1 of the image of every vertex: the longest label is LIS(rho)
+    decode = Staircase(inv).decode
+    assert max(len(decode(delta(m))) for m in [*g.u_next, full]) == lis_patience(rho)
+
+
+def test_inverse_duality_exhaustive_small():
+    for n in range(1, 7):
+        for values in permutations(range(1, n + 1)):
+            _assert_inverse_duality(make_permutation(values))
+
+
+@settings(max_examples=40, deadline=None)
+@given(permutations_st(min_n=7, max_n=12))
+def test_inverse_duality(rho):
+    _assert_inverse_duality(rho)
 
 
 def test_canonical_vertex_order():

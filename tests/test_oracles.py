@@ -103,6 +103,17 @@ def test_count_equals_quadratic_and_enumeration_exhaustive():
             assert count == len(enumerate_increasing(rho)), values
 
 
+def test_count_is_at_least_two_to_the_lis_exhaustive_small():
+    # every subset of a longest increasing subsequence is increasing, so
+    # the count is at least 2**LIS; the identity has nothing else
+    for n in range(1, 8):
+        for values in permutations(range(1, n + 1)):
+            rho = make_permutation(values)
+            assert count_increasing(rho) >= 2 ** lis_patience(rho)
+        identity = make_permutation(range(1, n + 1))
+        assert count_increasing(identity) == 2 ** lis_patience(identity)
+
+
 @settings(deadline=None)
 @given(permutations_st(max_n=200))
 def test_count_equals_quadratic_random(rho):
