@@ -19,7 +19,6 @@ from .bijection import Staircase, _alternation_masks
 from .core import Permutation, SpinConfig, make_permutation
 from .graph import (
     DEFAULT_MAX_VERTICES,
-    EdgeKind,
     PreisachGraph,
     VertexBudgetExceeded,
     _charge,
@@ -109,14 +108,16 @@ def format_config(sigma: SpinConfig) -> str:
 def _export_rows(g: PreisachGraph) -> tuple[list[str], list[tuple[str, str, str, int]]]:
     """The sign strings of the vertices in canonical order, and per vertex
     its U-edge then its D-edge as (from, to, kind, label).  A label is the
-    one bit the two vertex masks differ in."""
-    name = {m: _format_mask(m, g.n) for m in g.canonical_masks()}
+    one bit the two vertex masks differ in.  Each mask is formatted once:
+    its spin string is both its sort key and, as signs, its name."""
+    name = {m: bits.translate(_SIGNS) for m, bits in g._canonical_bits()}
+    u_next, d_next = g.u_next, g.d_next
     rows = []
     for v, s in name.items():
-        for kind, succ in (("U", g.u_next), ("D", g.d_next)):
-            t = succ.get(v)
-            if t is not None:
-                rows.append((s, name[t], kind, (v ^ t).bit_length()))
+        if (t := u_next.get(v)) is not None:
+            rows.append((s, name[t], "U", (v ^ t).bit_length()))
+        if (t := d_next.get(v)) is not None:
+            rows.append((s, name[t], "D", (v ^ t).bit_length()))
     return list(name.values()), rows
 
 
@@ -134,17 +135,19 @@ def export_dot(g: PreisachGraph) -> str:
 
 
 def export_json(g: PreisachGraph) -> str:
-    """Canonical JSON: {"n", "perm", "vertices", "edges"}, stable order."""
+    """Canonical JSON: {"n", "perm", "vertices", "edges"}, stable order.
+
+    The text is written directly, with no per-edge objects, and is byte for
+    byte what json.dumps(payload, separators=(",", ":")) gives: names are
+    '+' and '-' only, kinds are "U" and "D", and n, perm and the labels are
+    ints, so nothing needs escaping."""
     names, rows = _export_rows(g)
-    payload = {
-        "n": g.n,
-        "perm": list(g.perm.values),
-        "vertices": names,
-        "edges": [
-            {"from": s, "to": d, "kind": kind, "label": label} for s, d, kind, label in rows
-        ],
-    }
-    return json.dumps(payload, separators=(",", ":"))
+    perm = ",".join(map(str, g.perm.values))
+    vertices = ",".join([f'"{s}"' for s in names])
+    edges = ",".join(
+        [f'{{"from":"{s}","to":"{d}","kind":"{k}","label":{label}}}' for s, d, k, label in rows]
+    )
+    return f'{{"n":{g.n},"perm":[{perm}],"vertices":[{vertices}],"edges":[{edges}]}}'
 
 
 def load_json(text: str) -> PreisachGraph:
@@ -152,14 +155,16 @@ def load_json(text: str) -> PreisachGraph:
 
     Raises ValueError for a malformed payload: a missing key or a value of
     the wrong shape (a boolean n or label, or vertices or edges given as
-    anything but a JSON array, included), an edge endpoint that is
-    not a listed vertex, a label outside 1..n, a second edge of one kind from
-    the same source, an edge that is not the U- or D-transition of perm from
-    its source, or a payload that is not the whole graph: a vertex listed
-    twice, alpha or omega not listed, a listed vertex other than omega
-    without its U-edge or other than alpha without its D-edge, or a vertex
-    count other than the number of increasing subsequences of perm.  A
-    payload that passes is the graph build_bfs(perm) builds.
+    anything but a JSON array, included), an edge endpoint that is not a
+    listed vertex, an edge kind other than the strings "U" and "D", a label
+    outside 1..n, a second edge of one kind from the same source, an edge
+    that is not the U- or D-transition of perm from its source, or a payload
+    that is not the whole graph: a vertex listed twice, alpha or omega not
+    listed, a listed vertex other than omega without its U-edge or other
+    than alpha without its D-edge, or a vertex count other than the number
+    of increasing subsequences of perm.  A payload that passes is the graph
+    build_bfs(perm) builds.  An edge is checked in O(1), from its label's
+    bit and a table of D's scan order built once per payload.
     """
     payload = json.loads(text)
     try:
@@ -171,7 +176,12 @@ def load_json(text: str) -> PreisachGraph:
             if type(payload[key]) is not list:
                 raise ValueError(f"malformed graph JSON: {key} is not an array")
         mask_of = {s: _parse_mask(s, n) for s in payload["vertices"]}
-        u_step, d_step = _mask_steppers(rho)
+        # scanned[v]: spin v and the spins D scans before it
+        scanned = [0] * (n + 1)
+        seen = 0
+        for v in rho.values:
+            seen |= 1 << (v - 1)
+            scanned[v] = seen
         u_next: dict[int, int] = {}
         d_next: dict[int, int] = {}
         for item in payload["edges"]:
@@ -181,18 +191,29 @@ def load_json(text: str) -> PreisachGraph:
                 raise ValueError(
                     f"edge {item['from']} -> {item['to']}: endpoint is not a listed vertex"
                 )
-            kind = EdgeKind(item["kind"])
+            kind = item["kind"]
+            if kind == "U":
+                edges = u_next
+            elif kind == "D":
+                edges = d_next
+            else:
+                raise ValueError(f"edge kind {kind!r} is neither U nor D")
             label = item["label"]
             if type(label) is not int or not 1 <= label <= n:
                 raise ValueError(f"edge label {label!r} outside 1..{n}")
-            edges = u_next if kind is EdgeKind.U else d_next
             if src in edges:
-                raise ValueError(f"second {kind.value}-edge from {item['from']}")
-            t = (u_step if kind is EdgeKind.U else d_step)(src)
-            if t != dst or label != (t ^ src).bit_length():
+                raise ValueError(f"second {kind}-edge from {item['from']}")
+            # U raises spin label iff it is the lowest down spin (omega has
+            # none); D lowers it iff it is the first up spin in scan order
+            bit = 1 << (label - 1)
+            if edges is u_next:
+                flips = src & (2 * bit - 1) == bit - 1
+            else:
+                flips = src & scanned[label] == bit
+            if not flips or dst != src ^ bit:
                 raise ValueError(
                     f"edge {item['from']} -> {item['to']} label {label}: "
-                    f"not the {kind.value}-transition of perm"
+                    f"not the {kind}-transition of perm"
                 )
             edges[src] = dst
         if len(mask_of) != len(payload["vertices"]):
@@ -356,7 +377,8 @@ def random_permutation(n: int, seed: int, index: int) -> Permutation:
     index.  A draw x for bound b is kept iff x < 2^64 - 2^64 % b, that is
     iff the next multiple of b above x is at most 2^64, so x % b is
     unbiased.  Distinct indices give independent streams, so samples can
-    be drawn in any order or in parallel."""
+    be drawn in any order or in parallel.  Swaps of 1..n give a permutation
+    by construction, so the draw is not validated again."""
     state = (_mix64(seed) + index) & _MASK64
     values = list(range(1, n + 1))
     for bound in range(n, 1, -1):
@@ -370,7 +392,7 @@ def random_permutation(n: int, seed: int, index: int) -> Permutation:
             if x - j + bound <= 1 << 64:
                 break
         values[bound - 1], values[j] = values[j], values[bound - 1]
-    return Permutation(tuple(values))
+    return Permutation._unchecked(tuple(values))
 
 
 @dataclass

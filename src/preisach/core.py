@@ -60,6 +60,14 @@ class Permutation:
                 raise ValueError(f"duplicate value {v}")
             seen.add(v)
 
+    @classmethod
+    def _unchecked(cls, values: tuple[int, ...]) -> Permutation:
+        """The permutation of values known to be one of 1..n, built
+        unvalidated."""
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "values", values)
+        return rho
+
     @property
     def n(self) -> int:
         return len(self.values)

@@ -150,11 +150,18 @@ class PreisachGraph:
             sigma.mask in self.u_next or sigma.mask == (1 << self.n) - 1
         )
 
+    def _canonical_bits(self) -> list[tuple[int, str]]:
+        """(mask, spin string) of every vertex, the string reading spin 1
+        first, '1' up and '0' down; sorted by +1 count, then by that string,
+        so down before up.  The serialization order."""
+        n = self.n
+        pairs = [(m, f"{m:0{n}b}"[::-1]) for m in self._masks()]
+        return sorted(pairs, key=lambda p: (p[0].bit_count(), p[1]))
+
     def canonical_masks(self) -> list[int]:
         """Vertex masks sorted by +1 count, then by spin sequence read from
         spin 1 with down before up; the serialization order."""
-        n = self.n
-        return sorted(self._masks(), key=lambda m: (m.bit_count(), f"{m:0{n}b}"[::-1]))
+        return [m for m, _ in self._canonical_bits()]
 
     def canonical_vertices(self) -> list[SpinConfig]:
         """The configurations of canonical_masks(), in that order."""

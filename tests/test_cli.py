@@ -2,12 +2,16 @@ from __future__ import annotations
 
 import ast
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import redirect_stderr, redirect_stdout
+from itertools import permutations as all_permutations
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -16,6 +20,7 @@ from hypothesis import strategies as st
 
 import preisach.cli
 from preisach import (
+    Permutation,
     SpinConfig,
     VertexBudgetExceeded,
     alpha,
@@ -144,6 +149,43 @@ def test_export_json_single_spin():
     )
 
 
+def _export_json_oracle(g):
+    """export_json as a dict per edge handed to json.dumps, with the
+    canonical order taken from SpinConfig's own: by +1 count, then by spin
+    sequence with -1 before +1."""
+    order = sorted(g.vertices, key=lambda sigma: (sigma.count_plus(), sigma))
+    name = {sigma.mask: format_config(sigma) for sigma in order}
+    edges = []
+    for v in name:
+        for kind, succ in (("U", g.u_next), ("D", g.d_next)):
+            t = succ.get(v)
+            if t is not None:
+                edges.append(
+                    {"from": name[v], "to": name[t], "kind": kind, "label": (v ^ t).bit_length()}
+                )
+    payload = {
+        "n": g.n,
+        "perm": list(g.perm.values),
+        "vertices": list(name.values()),
+        "edges": edges,
+    }
+    return json.dumps(payload, separators=(",", ":"))
+
+
+def test_export_json_matches_the_json_dumps_oracle_exhaustive_small():
+    for n in range(1, 7):
+        for values in all_permutations(range(1, n + 1)):
+            g = build_bfs(make_permutation(values))
+            assert export_json(g) == _export_json_oracle(g), values
+
+
+@settings(max_examples=40, deadline=None)
+@given(permutations_st(min_n=7, max_n=10))
+def test_export_json_matches_the_json_dumps_oracle(rho):
+    g = build_bfs(rho)
+    assert export_json(g) == _export_json_oracle(g)
+
+
 @given(permutations_st(max_n=8))
 def test_export_json_round_trip(rho):
     g = build_bfs(rho)
@@ -164,6 +206,52 @@ def test_load_json_rejects_mutated_edge(rho, data):
         )
     with pytest.raises(ValueError, match="transition"):
         load_json(json.dumps(payload))
+
+
+def _rewrites(edge, n):
+    """Every edge with one field of edge, or its "to" with the label that
+    follows it, set to each value of that field; edge itself among them."""
+    signs = ["".join(p) for p in product("-+", repeat=n)]
+    for field, values in (
+        ("from", signs),
+        ("to", signs),
+        ("kind", ["U", "D"]),
+        ("label", range(-1, n + 2)),
+    ):
+        for value in values:
+            yield {**edge, field: value}
+    src = parse_config(edge["from"], n).mask
+    for s in signs:
+        yield {**edge, "to": s, "label": (src ^ parse_config(s, n).mask).bit_length()}
+
+
+def test_load_json_accepts_exactly_the_transitions_exhaustive_small():
+    # the rest of each payload is the graph, so it is whole again exactly
+    # when the rewritten edge is the transition of its kind from its source
+    # that it replaced, as the _mask_steppers oracle computes it
+    for n in range(1, 5):
+        for values in all_permutations(range(1, n + 1)):
+            rho = make_permutation(values)
+            g = build_bfs(rho)
+            steps = dict(zip("UD", _mask_steppers(rho)))
+            payload = json.loads(export_json(g))
+            for i, edge in enumerate(payload["edges"]):
+                for new in _rewrites(edge, n):
+                    src = parse_config(new["from"], n).mask
+                    dst = parse_config(new["to"], n).mask
+                    expected = (
+                        (new["from"], new["kind"]) == (edge["from"], edge["kind"])
+                        and steps[new["kind"]](src) == dst
+                        and new["label"] == (src ^ dst).bit_length()
+                    )
+                    edges = list(payload["edges"])
+                    edges[i] = new
+                    text = json.dumps({**payload, "edges": edges})
+                    if expected:
+                        assert load_json(text) == g, new
+                    else:
+                        with pytest.raises(ValueError):
+                            load_json(text)
 
 
 def test_exports_match_the_recorded_pool_digests():
@@ -367,6 +455,18 @@ def test_random_permutation_stream_is_pinned():
     )
 
 
+@pytest.mark.parametrize("n", [1, 2, 22, 400])
+def test_random_permutation_draws_are_permutations(n):
+    # the draw is built unvalidated: each one is still 1..n in some order
+    for seed in range(3):
+        for index in range(40):
+            rho = random_permutation(n, seed, index)
+            assert type(rho.values) is tuple and rho.n == n
+            assert sorted(rho.values) == list(range(1, n + 1))
+            assert all(type(v) is int for v in rho.values)
+            assert Permutation(rho.values) == rho
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 12), st.integers(1, 6), st.integers(0, 1 << 64))
 def test_cmd_stats_nesting_checked_is_the_naive_budget_count(n, samples, seed):
@@ -443,6 +543,63 @@ def test_cli_exit_codes(capsys):
     assert main(["verify-all", "--n", "12"]) == 2
     assert main(["verify-all", "--n", "0"]) == 2
     assert "n must be >= 1, got 0" in capsys.readouterr().err
+
+
+_BAD_TOKENS = ["x", "+2", "1_0", "0x1", "2.0", "\u0662", "0", "-1", "--1"]
+
+
+@st.composite
+def _perm_args(draw):
+    """A --perm string, the permutation it should parse to (None if a bad
+    token was put in), and that permutation's vertex count."""
+    rho = draw(permutations_st(max_n=7))
+    tokens = [str(v) for v in rho.values]
+    bad = draw(st.booleans())
+    if bad:
+        i = draw(st.integers(0, rho.n - 1))
+        extra = [str(rho.n + 1)] + [t for t in tokens if t != tokens[i]]
+        tokens[i] = draw(st.sampled_from(_BAD_TOKENS + extra))
+    text = draw(st.sampled_from([",", " ", ", "])).join(tokens)
+    return text, None if bad else rho, count_increasing(rho)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["build", "export-dot", "export-json"]),
+    _perm_args(),
+    st.sampled_from(["empty", "below", "exact", "default"]),
+    st.integers(-3, 0),
+)
+def test_cli_graph_commands_on_generated_argv(command, perm, budget_kind, empty):
+    # exit 0 prints exactly the export (or size) of build_bfs(rho); a bad
+    # token exits 2; exit 3 happens exactly when the budget is below 1 or
+    # below the vertex count; no exception leaves main
+    text, rho, count = perm
+    budget = {"empty": empty, "below": count - 1, "exact": count, "default": None}[budget_kind]
+    argv = [command, f"--perm={text}"]
+    if budget is not None:
+        argv.append(f"--max-vertices={budget}")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    if rho is None:
+        expected = 2
+    elif budget is not None and (budget < 1 or budget < count):
+        expected = 3
+    else:
+        expected = 0
+    assert code == expected, argv
+    if code:
+        assert out == "" and err.startswith("error: "), argv
+        return
+    g = build_bfs(rho)
+    shown = {
+        "build": f"vertices={count} edges={g.edge_count}",
+        "export-dot": export_dot(g),
+        "export-json": export_json(g),
+    }[command]
+    assert (out, err) == (shown.removesuffix("\n") + "\n", ""), argv
 
 
 def test_cli_phi_round_trip(capsys):
@@ -655,6 +812,36 @@ def _with_unreachable_vertex() -> str:
             "malformed.*vertices is not an array",
         ),
         (
+            '{"n":1,"perm":[1],"vertices":["-","+"],'
+            '"edges":[{"from":"-","to":"+","kind":"X","label":1},'
+            '{"from":"+","to":"-","kind":"D","label":1}]}',
+            "neither U nor D",
+        ),
+        (
+            '{"n":1,"perm":[1],"vertices":["-","+"],'
+            '"edges":[{"from":"-","to":"+","kind":"u","label":1},'
+            '{"from":"+","to":"-","kind":"D","label":1}]}',
+            "neither U nor D",
+        ),
+        (
+            '{"n":1,"perm":[1],"vertices":["-","+"],'
+            '"edges":[{"from":"-","to":"+","kind":1,"label":1},'
+            '{"from":"+","to":"-","kind":"D","label":1}]}',
+            "neither U nor D",
+        ),
+        (
+            '{"n":1,"perm":[1],"vertices":["-","+"],'
+            '"edges":[{"from":"-","to":"+","kind":null,"label":1},'
+            '{"from":"+","to":"-","kind":"D","label":1}]}',
+            "neither U nor D",
+        ),
+        (
+            '{"n":1,"perm":[1],"vertices":["-","+"],'
+            '"edges":[{"from":"-","to":"+","kind":["U"],"label":1},'
+            '{"from":"+","to":"-","kind":"D","label":1}]}',
+            "neither U nor D",
+        ),
+        (
             '{"n":1,"perm":[1],"vertices":{"-":0,"+":0},'
             '"edges":[{"from":"-","to":"+","kind":"U","label":1},'
             '{"from":"+","to":"-","kind":"D","label":1}]}',
@@ -688,6 +875,11 @@ def _with_unreachable_vertex() -> str:
         "boolean-label",
         "boolean-perm-value",
         "vertices-as-string",
+        "kind-X",
+        "kind-lowercase",
+        "kind-number",
+        "kind-null",
+        "kind-list",
         "vertices-as-object",
         "edges-as-object",
     ],

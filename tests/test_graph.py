@@ -703,6 +703,12 @@ def test_inverse_duality(rho):
     _assert_inverse_duality(rho)
 
 
+def test_inverse_duality_wide():
+    # n=22, 418 to 3,956 vertices
+    for index in range(12):
+        _assert_inverse_duality(random_permutation(22, 13, index))
+
+
 def test_canonical_vertex_order():
     g = build_bfs(RHO231)
     assert [v.spins for v in g.canonical_vertices()] == [
