@@ -164,7 +164,7 @@ def load_json(text: str) -> PreisachGraph:
     than alpha without its D-edge, or a vertex count other than the number
     of increasing subsequences of perm.  A payload that passes is the graph
     build_bfs(perm) builds.  An edge is checked in O(1), from its label's
-    bit and a table of D's scan order built once per payload.
+    bit and per-kind tables built once per payload.
     """
     payload = json.loads(text)
     try:
@@ -176,12 +176,19 @@ def load_json(text: str) -> PreisachGraph:
             if type(payload[key]) is not list:
                 raise ValueError(f"malformed graph JSON: {key} is not an array")
         mask_of = {s: _parse_mask(s, n) for s in payload["vertices"]}
-        # scanned[v]: spin v and the spins D scans before it
-        scanned = [0] * (n + 1)
+        # the transition test per kind, as src & scope[label] == want[label]
+        # with bit = 2**(label-1): U raises spin label iff it is the lowest
+        # down spin (omega has none), so the spins below it are up and it is
+        # down; D lowers it iff it is the first up spin in scan order, so it
+        # is up and no spin scanned before it is
+        u_scope = [0] + [(2 << i) - 1 for i in range(n)]
+        u_want = [0] + [(1 << i) - 1 for i in range(n)]
+        d_scope = [0] * (n + 1)
+        d_want = [0] + [1 << i for i in range(n)]
         seen = 0
         for v in rho.values:
             seen |= 1 << (v - 1)
-            scanned[v] = seen
+            d_scope[v] = seen
         u_next: dict[int, int] = {}
         d_next: dict[int, int] = {}
         for item in payload["edges"]:
@@ -193,9 +200,9 @@ def load_json(text: str) -> PreisachGraph:
                 )
             kind = item["kind"]
             if kind == "U":
-                edges = u_next
+                edges, scope, want = u_next, u_scope, u_want
             elif kind == "D":
-                edges = d_next
+                edges, scope, want = d_next, d_scope, d_want
             else:
                 raise ValueError(f"edge kind {kind!r} is neither U nor D")
             label = item["label"]
@@ -203,14 +210,7 @@ def load_json(text: str) -> PreisachGraph:
                 raise ValueError(f"edge label {label!r} outside 1..{n}")
             if src in edges:
                 raise ValueError(f"second {kind}-edge from {item['from']}")
-            # U raises spin label iff it is the lowest down spin (omega has
-            # none); D lowers it iff it is the first up spin in scan order
-            bit = 1 << (label - 1)
-            if edges is u_next:
-                flips = src & (2 * bit - 1) == bit - 1
-            else:
-                flips = src & scanned[label] == bit
-            if not flips or dst != src ^ bit:
+            if src & scope[label] != want[label] or dst != src ^ (1 << (label - 1)):
                 raise ValueError(
                     f"edge {item['from']} -> {item['to']} label {label}: "
                     f"not the {kind}-transition of perm"
@@ -378,7 +378,10 @@ def random_permutation(n: int, seed: int, index: int) -> Permutation:
     iff the next multiple of b above x is at most 2^64, so x % b is
     unbiased.  Distinct indices give independent streams, so samples can
     be drawn in any order or in parallel.  Swaps of 1..n give a permutation
-    by construction, so the draw is not validated again."""
+    by construction, so the draw is not validated again; n < 1 raises
+    ValueError, since a permutation has at least one entry."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     state = (_mix64(seed) + index) & _MASK64
     values = list(range(1, n + 1))
     for bound in range(n, 1, -1):

@@ -389,7 +389,19 @@ def test_random_permutation_deterministic():
     assert random_permutation(5, 1, 0) == random_permutation(5, 1, 0)
     assert random_permutation(5, 1, 0) != random_permutation(5, 1, 1)
     for index in range(20):
-        random_permutation(7, 3, index)  # validity enforced by the constructor
+        values = random_permutation(7, 3, index).values
+        assert sorted(values) == list(range(1, 8))
+        assert Permutation(values).values == values
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_random_permutation_rejects_empty_n(n, capsys):
+    with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
+        random_permutation(n, 1, 0)
+    with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
+        cmd_stats(n, 3, 0)
+    assert main(["stats", "--n", str(n), "--samples", "3"]) == 2
+    assert f"n must be >= 1, got {n}" in capsys.readouterr().err
 
 
 def test_random_permutation_is_uniform_enough():
