@@ -1,4 +1,4 @@
-"""Shortest paths, switch-back blocks, and the vertex/subsequence bijection.
+"""The vertex/subsequence bijection phi and the nesting degree.
 
 Every vertex has a unique shortest path from alpha.  Reading that path as
 maximal runs of same-kind edges gives an alternating block structure whose
@@ -13,15 +13,13 @@ minimal number of alternating blocks needed to reach it.
 `phi_all` labels every vertex in one breadth-first pass over the graph's
 successor maps: `graph._closure`, the pass that also builds the
 breadth-first graph and raises `UniquenessViolation` (defined in `graph`,
-re-exported here).  `shortest_path` and `block_decomposition` are the
-path-by-path oracle route the tests compare it against, and
-`shortest_path_tree` builds their `LabeledEdge` steps, one per tree edge.
-`nesting_degree_oracle` is a tree-free oracle: a level-by-level search
-over raw map applications on masks (`_alternation_masks`), level d
-holding the states first reached with d alternating blocks.
-`cli.cmd_verify` takes the breadth-first maps and phi from one call of
-that pass and runs the search on masks.  Functions of a graph take and
-return configurations (`SpinConfig`) and work on its masks inside.
+re-exported here).  `_alternation_masks` finds every nesting degree
+without shortest paths, level by level over raw map applications on
+masks, level d holding the states first reached with d alternating
+blocks.  `cli.cmd_verify` takes the breadth-first maps and phi from one
+call of that pass and compares their lengths with that search.
+Functions of a graph take and return configurations (`SpinConfig`) and
+work on its masks inside.
 
 `Staircase` is phi and its inverse in closed form: a vertex is a nested
 staircase of U- and D-wipes, one per subsequence value, so encoding a
@@ -29,48 +27,30 @@ subsequence and decoding a vertex mask take no graph.  `cmd_verify` checks
 the breadth-first labels by encoding them back; `phi` and `nesting_degree`
 of one vertex, and the CLI's `phi`, `phi-inverse` and `nesting --vertex`,
 answer through it; `encode` is the one production check that a tuple is
-an increasing subsequence.
-`increasing_subsequence` (the literal definition), `phi_inverse` (the
-table of `phi_all`) and `phi_inverse_constructive` (the walk from alpha)
-are its oracles in the tests.
+an increasing subsequence.  The oracle routes of this module are in
+`oracle_routes`.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
-
-from .core import Permutation, SpinConfig, SpinIndex, alpha, i_minus, i_plus
+from .core import Permutation, SpinConfig
 from .graph import (
     DEFAULT_MAX_VERTICES,
-    EdgeKind,
-    LabeledEdge,
     PreisachGraph,
     UniquenessViolation,
     VertexBudgetExceeded,
     _closure,
     _mask_steppers,
-    edge_label,
 )
 
 __all__ = [
     "UniquenessViolation",
-    "increasing_subsequence",
     "Staircase",
-    "Path",
-    "BlockDecomposition",
-    "shortest_path_tree",
-    "shortest_path",
-    "block_decomposition",
     "phi",
     "phi_all",
-    "phi_inverse",
-    "phi_inverse_constructive",
     "nesting_degree",
     "nesting_degrees",
     "nesting_of_graph",
-    "alternation_degrees",
-    "nesting_degree_oracle",
 ]
 
 
@@ -89,16 +69,6 @@ def _rejection(vals: tuple, rho: Permutation) -> str | None:
     return None
 
 
-def increasing_subsequence(values, rho: Permutation) -> tuple[int, ...]:
-    """`values` as a tuple, checked by the literal definition (_rejection).
-    The oracle of `Staircase.encode`, which validates in production and
-    takes only its error message from the same scan."""
-    vals = tuple(values)
-    if (reason := _rejection(vals, rho)) is not None:
-        raise ValueError(reason)
-    return vals
-
-
 class Staircase:
     """phi and its inverse for one permutation, read off the vertex mask.
 
@@ -115,7 +85,7 @@ class Staircase:
     decode(encode(s)) == s for every increasing subsequence s, and decode
     maps any mask to one, so encode(decode(m)) == m exactly when m is a
     vertex.  The tests check both against the breadth-first phi and the
-    constructive walk (phi_inverse_constructive).
+    constructive walk (oracle_routes.phi_inverse_constructive).
 
     >>> code = Staircase(Permutation((2, 3, 1)))
     >>> bin(code.encode((2, 3)))  # U-wipe at 3: +++; D-wipe at 2, position 1: +-+
@@ -142,7 +112,7 @@ class Staircase:
     def encode(self, values) -> int:
         """The vertex mask of the increasing subsequence `values`, in O(k).
         Raises ValueError if `values` is not one, with the message of
-        `increasing_subsequence`."""
+        `oracle_routes.increasing_subsequence`."""
         pos, prefix = self._pos, self._prefix
         mask = 0
         up = True
@@ -187,118 +157,6 @@ class Staircase:
         return tuple(found)
 
 
-@dataclass(frozen=True)
-class Path:
-    """A walk from alpha along graph edges; consecutive edges chain."""
-
-    start: SpinConfig
-    edges: tuple[LabeledEdge, ...]
-    end: SpinConfig
-
-    def __post_init__(self) -> None:
-        prev = self.start
-        for e in self.edges:
-            if e.src != prev:
-                raise ValueError("edges do not chain")
-            prev = e.dst
-        if prev != self.end:
-            raise ValueError("path does not end at its end vertex")
-
-    def __len__(self) -> int:
-        return len(self.edges)
-
-
-@dataclass(frozen=True)
-class BlockDecomposition:
-    """Maximal same-kind runs of a path, with the switch-back states and the
-    labels of the edges entering them, in path order."""
-
-    blocks: tuple[tuple[EdgeKind, int], ...]
-    switchbacks: tuple[SpinConfig, ...]
-    labels: tuple[SpinIndex, ...]
-
-
-def shortest_path_tree(g: PreisachGraph) -> dict[SpinConfig, LabeledEdge]:
-    """Breadth-first parent edges of every vertex reachable from alpha.
-
-    Raises UniquenessViolation if some vertex is reached by two distinct
-    parents at the same depth.
-    """
-    parent: dict[SpinConfig, LabeledEdge] = {}
-    depth = {0: 0}
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        d = depth[v]
-        for kind, succ in ((EdgeKind.U, g.u_next), (EdgeKind.D, g.d_next)):
-            t = succ.get(v)
-            if t is None:
-                continue
-            if t not in depth:
-                depth[t] = d + 1
-                src, dst = g.config(v), g.config(t)
-                parent[dst] = LabeledEdge(src, dst, kind, edge_label(src, dst))
-                queue.append(t)
-            elif depth[t] == d + 1:
-                raise UniquenessViolation(
-                    f"uniqueness violated: two shortest paths reach {g.config(t).spins}"
-                )
-    return parent
-
-
-def _edges_to(
-    tree: dict[SpinConfig, LabeledEdge], start: SpinConfig, sigma: SpinConfig
-) -> tuple[LabeledEdge, ...]:
-    edges = []
-    cur = sigma
-    while cur != start:
-        e = tree[cur]
-        edges.append(e)
-        cur = e.src
-    edges.reverse()
-    return tuple(edges)
-
-
-def shortest_path(g: PreisachGraph, sigma: SpinConfig) -> Path:
-    """The unique shortest path from alpha to sigma."""
-    if sigma not in g:
-        raise ValueError(f"not a vertex: {sigma.spins}")
-    tree = shortest_path_tree(g)
-    return Path(g.alpha, _edges_to(tree, g.alpha, sigma), sigma)
-
-
-def block_decomposition(p: Path) -> BlockDecomposition:
-    """Split a path into maximal same-kind blocks.
-
-    The empty path has no blocks; otherwise the first block must go up, which
-    is automatic for paths from alpha since alpha has no outgoing D-edge.
-    """
-    if not p.edges:
-        return BlockDecomposition((), (), ())
-    if p.edges[0].kind is not EdgeKind.U:
-        raise ValueError("first block not U")
-    blocks: list[tuple[EdgeKind, int]] = []
-    switchbacks: list[SpinConfig] = []
-    labels: list[SpinIndex] = []
-    run_kind = p.edges[0].kind
-    run_len = 0
-    prev = p.edges[0]
-    for e in p.edges:
-        if e.kind is run_kind:
-            run_len += 1
-        else:
-            blocks.append((run_kind, run_len))
-            switchbacks.append(prev.dst)
-            labels.append(prev.label)
-            run_kind = e.kind
-            run_len = 1
-        prev = e
-    blocks.append((run_kind, run_len))
-    switchbacks.append(prev.dst)
-    labels.append(prev.label)
-    return BlockDecomposition(tuple(blocks), tuple(switchbacks), tuple(labels))
-
-
 def phi(g: PreisachGraph, sigma: SpinConfig) -> tuple[int, ...]:
     """The increasing subsequence of a vertex: switch-back labels of its
     shortest path, reversed.  Read off its staircase (Staircase.decode) in
@@ -316,42 +174,6 @@ def phi_all(g: PreisachGraph) -> dict[SpinConfig, tuple[int, ...]]:
     return {g.config(m): s for m, s in labels.items()}
 
 
-def phi_inverse(g: PreisachGraph, values) -> SpinConfig:
-    """The vertex mapping to the increasing subsequence `values`, by
-    inverting the table of phi over all vertices.  The authoritative
-    inverse; the constructive variant below is checked against it in the
-    tests."""
-    s = increasing_subsequence(values, g.perm)
-    table = {sub: v for v, sub in phi_all(g).items()}
-    try:
-        return table[s]
-    except KeyError:
-        raise RuntimeError(f"bijection violated: {s} has no preimage") from None
-
-
-def phi_inverse_constructive(rho: Permutation, values) -> SpinConfig:
-    """Rebuild the vertex of the increasing subsequence `values` by walking
-    from alpha, no table needed.
-
-    Read the subsequence from its largest value down: take up steps until the
-    largest value's spin flips, then alternate direction, each time stepping
-    until the edge labeled with the next value is taken.
-    """
-    s = increasing_subsequence(values, rho)
-    cur = alpha(rho.n)
-    going_up = True
-    for target in reversed(s):
-        while True:
-            i = i_plus(cur) if going_up else i_minus(cur, rho)
-            if i is None:
-                raise RuntimeError(f"no step flips spin {target}")
-            cur = cur.flipped(i)
-            if i == target:
-                break
-        going_up = not going_up
-    return cur
-
-
 def nesting_degree(g: PreisachGraph, sigma: SpinConfig) -> int:
     """Number of blocks of the unique shortest path to sigma; 0 for alpha."""
     return len(phi(g, sigma))
@@ -365,15 +187,6 @@ def nesting_degrees(g: PreisachGraph) -> dict[SpinConfig, int]:
 def nesting_of_graph(g: PreisachGraph) -> int:
     """Maximal nesting degree over all vertices."""
     return max(nesting_degrees(g).values())
-
-
-def alternation_degrees(
-    rho: Permutation, max_vertices: int = DEFAULT_MAX_VERTICES
-) -> dict[SpinConfig, int]:
-    """Minimal alternating-block count for every reachable configuration
-    (see _alternation_masks)."""
-    degrees = _alternation_masks(rho, max_vertices)
-    return {SpinConfig._unchecked(rho.n, m): d for m, d in degrees.items()}
 
 
 def _alternation_masks(
@@ -415,13 +228,3 @@ def _alternation_masks(
                 nxt.append(m)
         level = nxt
     return best
-
-
-def nesting_degree_oracle(
-    rho: Permutation, sigma: SpinConfig, max_vertices: int = DEFAULT_MAX_VERTICES
-) -> int:
-    """Nesting degree of sigma by exhaustive minimal-alternation search."""
-    best = alternation_degrees(rho, max_vertices)
-    if sigma not in best:
-        raise ValueError(f"unreachable: {sigma.spins}")
-    return best[sigma]

@@ -23,12 +23,12 @@ from .graph import (
     VertexBudgetExceeded,
     _charge,
     _closure,
-    _forward_maps,
     _mask_steppers,
-    _subcycle_walk,
     build_bfs,
+    build_forward,
     merge_identity_bottom,
     merge_identity_top,
+    verify_lrpm,
 )
 from .oracles import count_increasing, lis_patience
 
@@ -278,8 +278,9 @@ def cmd_verify(rho: Permutation, max_vertices: int = DEFAULT_MAX_VERTICES) -> Ve
     both merge identities.
 
     Every check runs on the builders' mask successor maps (bit i-1 of a
-    vertex mask set meaning spin i is up); no graph object is built.  One
-    breadth-first pass (graph._closure) gives both the maps and phi.
+    vertex mask set meaning spin i is up).  One breadth-first pass
+    (graph._closure) gives both the maps and phi; the maps are wrapped as a
+    graph, with no copy, for build_forward equality and verify_lrpm.
 
     phi is checked without listing the increasing subsequences.  Every
     vertex has a label, and Staircase.encode takes each label back to the
@@ -290,8 +291,8 @@ def cmd_verify(rho: Permutation, max_vertices: int = DEFAULT_MAX_VERTICES) -> Ve
     so phi is then onto as well."""
     t0 = time.perf_counter()
     u_next, d_next, images = _closure(0, *_mask_steppers(rho), max_vertices)
-    u_fwd, d_fwd = _forward_maps(rho, max_vertices)
-    builders_agree = u_next == u_fwd and d_next == d_fwd
+    g = PreisachGraph(rho, u_next, d_next)
+    builders_agree = build_forward(rho, max_vertices) == g
     # every vertex but omega has a U-edge
     vertex_count = len(u_next) + 1
 
@@ -316,13 +317,13 @@ def cmd_verify(rho: Permutation, max_vertices: int = DEFAULT_MAX_VERTICES) -> Ve
     lis = lis_patience(rho)
     nesting_ok = nesting == lis
 
-    lrpm_ok = _subcycle_walk(u_next.get, d_next.get, 0, (1 << rho.n) - 1) is not None
+    lrpm_ok = verify_lrpm(g)
     merge_ok = merge_identity_top(rho) and merge_identity_bottom(rho)
 
     return VerifyReport(
         perm=rho,
         vertex_count=vertex_count,
-        edge_count=len(u_next) + len(d_next),
+        edge_count=g.edge_count,
         builders_agree=builders_agree,
         cardinality_ok=cardinality_ok,
         bijection_ok=bijection_ok,
@@ -344,7 +345,8 @@ class VerifyAllSummary:
 
 def cmd_verify_all(n: int, max_vertices: int = DEFAULT_MAX_VERTICES) -> VerifyAllSummary:
     """cmd_verify over every permutation of {1, ..., n}; n is capped because
-    the run is factorial."""
+    the run is factorial.  Each is a permutation by construction, so it is
+    not validated again."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n > _VERIFY_ALL_LIMIT:
@@ -352,8 +354,7 @@ def cmd_verify_all(n: int, max_vertices: int = DEFAULT_MAX_VERTICES) -> VerifyAl
     failures = []
     checked = 0
     for values in all_permutations(range(1, n + 1)):
-        rho = Permutation(values)
-        report = cmd_verify(rho, max_vertices)
+        report = cmd_verify(Permutation._unchecked(values), max_vertices)
         checked += 1
         if not report.passed():
             failures.append(",".join(map(str, values)))
@@ -429,8 +430,7 @@ def cmd_stats(
     uses.  A budget below 1 raises VertexBudgetExceeded, as builders do."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    if max_vertices < 1:
-        raise VertexBudgetExceeded("vertex budget exceeded: budget is empty")
+    _charge(1, max_vertices)
     lis_values = []
     checked = 0
     for index in range(samples):
@@ -491,22 +491,15 @@ def _format_verify_report(report: VerifyReport) -> str:
     return "\n".join(lines)
 
 
-def _cmd_build(args: argparse.Namespace) -> int:
-    g = build_bfs(parse_permutation(args.perm), args.max_vertices)
+def _size_line(g: PreisachGraph) -> str:
     # every vertex but omega has a U-edge
-    _write_out(f"vertices={len(g.u_next) + 1} edges={g.edge_count}", args.out)
-    return 0
+    return f"vertices={len(g.u_next) + 1} edges={g.edge_count}"
 
 
-def _cmd_export_dot(args: argparse.Namespace) -> int:
+def _cmd_graph(args: argparse.Namespace) -> int:
+    """build, export-dot and export-json: build_bfs, then args.render."""
     g = build_bfs(parse_permutation(args.perm), args.max_vertices)
-    _write_out(export_dot(g), args.out)
-    return 0
-
-
-def _cmd_export_json(args: argparse.Namespace) -> int:
-    g = build_bfs(parse_permutation(args.perm), args.max_vertices)
-    _write_out(export_json(g), args.out)
+    _write_out(args.render(g), args.out)
     return 0
 
 
@@ -515,8 +508,6 @@ def _charge_graph(rho: Permutation, max_vertices: int) -> None:
     build_bfs(rho, max_vertices) would, without building: the graph has
     count_increasing(rho) vertices, decided as cmd_stats decides it, by
     the 2**LIS lower bound first."""
-    if max_vertices < 1:
-        raise VertexBudgetExceeded("vertex budget exceeded: budget is empty")
     _charge(_graph_size(rho, lis_patience(rho), max_vertices), max_vertices)
 
 
@@ -590,9 +581,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(sub: argparse.ArgumentParser, perm: bool = True) -> None:
-    if perm:
-        sub.add_argument("--perm", required=True, help="permutation, e.g. '2,3,1'")
+def _add_common(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--perm", required=True, help="permutation, e.g. '2,3,1'")
     sub.add_argument(
         "--max-vertices",
         type=int,
@@ -609,17 +599,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("build", help="build the graph and print its size")
-    _add_common(p)
-    p.set_defaults(func=_cmd_build)
-
-    p = subs.add_parser("export-dot", help="emit the graph as DOT")
-    _add_common(p)
-    p.set_defaults(func=_cmd_export_dot)
-
-    p = subs.add_parser("export-json", help="emit the graph as canonical JSON")
-    _add_common(p)
-    p.set_defaults(func=_cmd_export_json)
+    for name, render, text in (
+        ("build", _size_line, "build the graph and print its size"),
+        ("export-dot", export_dot, "emit the graph as DOT"),
+        ("export-json", export_json, "emit the graph as canonical JSON"),
+    ):
+        p = subs.add_parser(name, help=text)
+        _add_common(p)
+        p.set_defaults(func=_cmd_graph, render=render)
 
     p = subs.add_parser("phi", help="increasing subsequence of a vertex")
     _add_common(p)

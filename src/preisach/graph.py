@@ -21,50 +21,34 @@ one breadth-first pass, which also labels phi of every vertex off the
 shortest-path tree and raises `UniquenessViolation` where two shortest
 paths meet; `build_forward` keeps those of `_forward_maps`.
 
-Cycles, absorption, loop return-point memory and loops follow the orbit
-definitions directly.  `loop_vertices` and `verify_lrpm` share one walk
-over the major sub-cycles of a pair (_subcycle_walk), on spin
-configurations and on masks.  The walk records each orbit once, only as
-far as the targets sought on it, and pushes every state it records, so a
-target already on a record needs no work; a sub-cycle it pushes from one
-orbit's record lies on that orbit by construction, so it is checked on its
-other, open side only, and the trivial pairs (s, s) are never pushed.
-`build_forward` does not walk: by return-point memory the loop it copies
-is a plain closure (_loop_closure), with `loop_vertices` as its oracle.
+`verify_lrpm` checks loop return-point memory by one walk over the major
+sub-cycles of a pair (_subcycle_walk) on masks.  The walk records each
+orbit once, only as far as the targets sought on it, and pushes every
+state it records, so a target already on a record needs no work; a
+sub-cycle it pushes from one orbit's record lies on that orbit by
+construction, so it is checked on its other, open side only, and the
+trivial pairs (s, s) are never pushed.  `build_forward` does not walk: by
+return-point memory the loop it copies is a plain closure (_loop_closure).
 Every step function here maps a state to its successor, or to None at a
-fixed point.  The orbits, `cycle_of`, `check_absorption`, `check_lrpm`
-(the literal recursive definition `verify_lrpm` is tested against),
-`loop_vertices` and `decompose` are oracle routes on configurations.
+fixed point.
 """
 
 from __future__ import annotations
 
-import enum
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, TypeVar
 
-from .core import Permutation, SpinConfig, SpinIndex, i_minus, i_plus
+from .core import Permutation, SpinConfig
 
 __all__ = [
     "DEFAULT_MAX_VERTICES",
     "VertexBudgetExceeded",
     "UniquenessViolation",
-    "EdgeKind",
-    "LabeledEdge",
     "PreisachGraph",
-    "edge_label",
-    "Cycle",
     "build_bfs",
     "build_forward",
-    "u_orbit",
-    "d_orbit",
-    "cycle_of",
-    "check_absorption",
-    "check_lrpm",
-    "loop_vertices",
     "verify_lrpm",
-    "decompose",
     "merge_identity_top",
     "merge_identity_bottom",
 ]
@@ -84,22 +68,6 @@ class UniquenessViolation(RuntimeError):
     Never expected: shortest paths from alpha are unique.  Raising instead of
     picking a winner turns that fact into a runtime-checked invariant.
     """
-
-
-class EdgeKind(enum.Enum):
-    U = "U"
-    D = "D"
-
-
-@dataclass(frozen=True)
-class LabeledEdge:
-    """A single transition; `label` is the 1-based index of the flipped spin.
-    A step of an oracle path; the graph itself stores successor maps."""
-
-    src: SpinConfig
-    dst: SpinConfig
-    kind: EdgeKind
-    label: SpinIndex
 
 
 @dataclass(frozen=True)
@@ -168,65 +136,17 @@ class PreisachGraph:
         return list(map(self.config, self.canonical_masks()))
 
 
-def edge_label(src: SpinConfig, dst: SpinConfig) -> SpinIndex:
-    """The one spin src and dst differ in: the label of an edge src -> dst.
-    Raises ValueError unless they differ in exactly one spin.
-
-    >>> edge_label(SpinConfig((1, 1, -1)), SpinConfig((1, 1, 1)))
-    3
-    """
-    flip = src.mask ^ dst.mask
-    if src.n != dst.n or not flip or flip & (flip - 1):
-        raise ValueError(f"not an edge: {src.spins} -> {dst.spins}")
-    return flip.bit_length()
-
-
-@dataclass(frozen=True)
-class Cycle:
-    """An ordered pair (mu, nu) with nu on the U-orbit of mu and mu on the
-    D-orbit of nu, together with the two inclusive boundary orbits."""
-
-    mu: SpinConfig
-    nu: SpinConfig
-    u_boundary: tuple[SpinConfig, ...]
-    d_boundary: tuple[SpinConfig, ...]
-
-
 S = TypeVar("S")
 # A stepper returns the successor of a state, or None at a fixed point.
 Step = Callable[[S], "S | None"]
 
 
-def _map_steppers(rho: Permutation) -> tuple[Step[SpinConfig], Step[SpinConfig]]:
-    """U and D on spin configurations: i_plus / i_minus, then flipped."""
-
-    def u_step(s: SpinConfig) -> SpinConfig | None:
-        i = i_plus(s)
-        return None if i is None else s.flipped(i)
-
-    def d_step(s: SpinConfig) -> SpinConfig | None:
-        i = i_minus(s, rho)
-        return None if i is None else s.flipped(i)
-
-    return u_step, d_step
-
-
-def _chain(step: Step[S], start: S, target: S | None = None) -> list[S] | None:
-    """The orbit of start up to and including target, or None if it hits its
-    fixed point without reaching target; with no target, the whole orbit up
-    to and including the fixed point."""
-    out = [start]
-    while out[-1] != target:
-        nxt = step(out[-1])
-        if nxt is None:
-            return out if target is None else None
-        out.append(nxt)
-    return out
-
-
 def _charge(count: int, max_vertices: int) -> None:
-    """Raise VertexBudgetExceeded if a graph of count vertices is over budget."""
+    """Raise VertexBudgetExceeded if a graph of count >= 1 vertices is over
+    budget, naming a budget below 1 empty."""
     if count > max_vertices:
+        if max_vertices < 1:
+            raise VertexBudgetExceeded("vertex budget exceeded: budget is empty")
         raise VertexBudgetExceeded(
             f"vertex budget exceeded: graph needs more than {max_vertices} vertices"
         )
@@ -266,8 +186,7 @@ def _closure(
     UniquenessViolation if some vertex is reached by two distinct parents
     at the same depth.
     """
-    if max_vertices < 1:
-        raise VertexBudgetExceeded("vertex budget exceeded: budget is empty")
+    _charge(1, max_vertices)
     u_next: dict[int, int] = {}
     d_next: dict[int, int] = {}
     labels = {start: ()}
@@ -364,73 +283,6 @@ def build_forward(rho: Permutation, max_vertices: int = DEFAULT_MAX_VERTICES) ->
     return PreisachGraph(rho, *_forward_maps(rho, max_vertices))
 
 
-def u_orbit(rho: Permutation, sigma: SpinConfig) -> list[SpinConfig]:
-    """sigma, U sigma, U^2 sigma, ... up to and including omega."""
-    u_step, _ = _map_steppers(rho)
-    return _chain(u_step, sigma)
-
-
-def d_orbit(rho: Permutation, sigma: SpinConfig) -> list[SpinConfig]:
-    """sigma, D sigma, D^2 sigma, ... up to and including alpha."""
-    _, d_step = _map_steppers(rho)
-    return _chain(d_step, sigma)
-
-
-def cycle_of(rho: Permutation, mu: SpinConfig, nu: SpinConfig) -> Cycle:
-    """The cycle with endpoints (mu, nu), found by explicit orbit traversal.
-
-    Raises ValueError("not a cycle") unless nu lies on the U-orbit of mu and
-    mu lies on the D-orbit of nu.
-    """
-    u_step, d_step = _map_steppers(rho)
-    ub = _chain(u_step, mu, nu)
-    if ub is None:
-        raise ValueError("not a cycle: upper endpoint not on the U-orbit of the lower")
-    db = _chain(d_step, nu, mu)
-    if db is None:
-        raise ValueError("not a cycle: lower endpoint not on the D-orbit of the upper")
-    return Cycle(mu, nu, tuple(ub), tuple(db))
-
-
-def check_absorption(rho: Permutation, c: Cycle) -> bool:
-    """True iff every U-boundary state returns to mu under D and every
-    D-boundary state returns to nu under U."""
-    u_step, d_step = _map_steppers(rho)
-    return all(_chain(d_step, u, c.mu) is not None for u in c.u_boundary) and all(
-        _chain(u_step, v, c.nu) is not None for v in c.d_boundary
-    )
-
-
-def check_lrpm(rho: Permutation, c: Cycle) -> bool:
-    """Loop return-point memory: the cycle is absorbing and, recursively, so
-    is every major sub-cycle (mu, u) and (v, nu) along its boundaries.
-
-    Verified endpoint pairs are memoized; a pair counts as verified while its
-    own check is in progress, which settles the self-referential sub-cycles
-    (mu, nu) produces along its own boundaries.
-    """
-    u_step, d_step = _map_steppers(rho)
-    memo: dict[tuple[SpinConfig, SpinConfig], bool] = {}
-
-    def has_lrpm(mu: SpinConfig, nu: SpinConfig) -> bool:
-        key = (mu, nu)
-        if key in memo:
-            return memo[key]
-        memo[key] = True
-        ub = _chain(u_step, mu, nu)
-        db = _chain(d_step, nu, mu) if ub is not None else None
-        ok = memo[key] = (
-            db is not None
-            and all(_chain(d_step, u, mu) is not None for u in ub)
-            and all(_chain(u_step, v, nu) is not None for v in db)
-            and all(has_lrpm(mu, u) for u in ub)
-            and all(has_lrpm(v, nu) for v in db)
-        )
-        return ok
-
-    return has_lrpm(c.mu, c.nu)
-
-
 def _subcycle_walk(u_succ: Step, d_succ: Step, mu, nu) -> set | None:
     """Walk the major sub-cycles of (mu, nu): from a reached pair (m, v) on
     to (m, u) for each state u of its U-boundary and (w, v) for each state w
@@ -497,17 +349,6 @@ def _subcycle_walk(u_succ: Step, d_succ: Step, mu, nu) -> set | None:
     return verts
 
 
-def loop_vertices(rho: Permutation, c: Cycle) -> set[SpinConfig]:
-    """All vertices of the loop (mu, nu): the iterative union of boundary
-    states of major sub-cycles.  Requires the cycle to be absorbing."""
-    if not check_absorption(rho, c):
-        raise ValueError("not absorbing")
-    verts = _subcycle_walk(*_map_steppers(rho), c.mu, c.nu)
-    if verts is None:
-        raise RuntimeError("cycle structure violated inside a loop")
-    return verts
-
-
 def verify_lrpm(
     g: PreisachGraph, mu: SpinConfig | None = None, nu: SpinConfig | None = None
 ) -> bool:
@@ -523,42 +364,17 @@ def verify_lrpm(
     child (w, v).  The walk reaches every child but the trivial (m, m) and
     (v, v), which are cycles, so "every reached pair is a cycle" is "every
     reached pair is an absorbing cycle", the recursive definition
-    check_lrpm evaluates.
+    oracle_routes.check_lrpm evaluates.
 
     An orbit that cycles never reaches its target, and an edge into a mask
     that is no vertex, which has no edges of its own, ends its orbit, so a
     pair that needs either is not a cycle and the result is False.
     """
-    if any(sigma is not None and sigma not in g for sigma in (mu, nu)):
+    if (mu is not None and mu not in g) or (nu is not None and nu not in g):
         raise ValueError("not a vertex")
     bottom = 0 if mu is None else mu.mask
     top = (1 << g.n) - 1 if nu is None else nu.mask
     return _subcycle_walk(g.u_next.get, g.d_next.get, bottom, top) is not None
-
-
-def decompose(
-    g: PreisachGraph,
-) -> tuple[set[SpinConfig], set[SpinConfig], tuple[LabeledEdge, LabeledEdge]]:
-    """Split the graph into its lower loop (spin n down), its upper loop
-    (spin n up) and the two joining edges, both labeled n.
-
-    The lower loop is the loop between alpha and U^{n-1} alpha; the upper
-    loop is the loop between D^{k-1} omega and omega, k being the position
-    of the value n.  The two sets partition the vertex set.
-    """
-    rho = g.perm
-    n = rho.n
-    top = _apply_n(g.u_next.get, 0, n - 1)
-    bottom = _apply_n(g.d_next.get, (1 << n) - 1, rho.position_of(n) - 1)
-    top, up, bottom, down = map(g.config, (top, g.u_next[top], bottom, g.d_next[bottom]))
-    return (
-        loop_vertices(rho, cycle_of(rho, g.alpha, top)),
-        loop_vertices(rho, cycle_of(rho, bottom, g.omega)),
-        (
-            LabeledEdge(top, up, EdgeKind.U, edge_label(top, up)),
-            LabeledEdge(bottom, down, EdgeKind.D, edge_label(bottom, down)),
-        ),
-    )
 
 
 def _apply_n(step: Step[int], m: int, times: int) -> int:

@@ -16,15 +16,12 @@ import pytest
 from preisach import (
     Permutation,
     alpha,
-    alternation_degrees,
     apply_D,
     apply_U,
     build_bfs,
     build_forward,
     count_increasing,
-    enumerate_increasing,
     invert,
-    lis_bruteforce,
     lis_patience,
     make_permutation,
     nesting_degrees,
@@ -38,6 +35,8 @@ from preisach.cli import (
     export_json,
     random_permutation,
 )
+from preisach.oracle_routes import alternation_degrees
+from preisach.oracles import enumerate_increasing, lis_bruteforce
 
 BUDGET = 1 << 20
 SUITE2_SEED = 1

@@ -8,39 +8,42 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from preisach import (
-    EdgeKind,
-    Path,
     PreisachGraph,
     SpinConfig,
     Staircase,
     UniquenessViolation,
     VertexBudgetExceeded,
     alpha,
-    alternation_degrees,
     apply_D,
     apply_U,
-    block_decomposition,
     build_bfs,
     count_increasing,
-    enumerate_increasing,
-    increasing_subsequence,
     lis_patience,
     make_permutation,
     nesting_degree,
-    nesting_degree_oracle,
     nesting_degrees,
     nesting_of_graph,
     omega,
     phi,
     phi_all,
+)
+from preisach.bijection import _alternation_masks
+from preisach.cli import random_permutation
+from preisach.graph import DEFAULT_MAX_VERTICES, _closure, _mask_steppers
+from preisach.oracle_routes import (
+    EdgeKind,
+    Path,
+    _edges_to,
+    alternation_degrees,
+    block_decomposition,
+    increasing_subsequence,
+    nesting_degree_oracle,
     phi_inverse,
     phi_inverse_constructive,
     shortest_path,
     shortest_path_tree,
 )
-from preisach.bijection import _alternation_masks, _edges_to
-from preisach.cli import random_permutation
-from preisach.graph import DEFAULT_MAX_VERTICES, _closure, _mask_steppers
+from preisach.oracles import enumerate_increasing
 from strategies import permutations_st
 
 RHO231 = make_permutation([2, 3, 1])

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 import preisach.cli
 from preisach import (
     Permutation,
+    PreisachGraph,
     SpinConfig,
     VertexBudgetExceeded,
     alpha,
@@ -28,6 +29,7 @@ from preisach import (
     count_increasing,
     lis_patience,
     make_permutation,
+    nesting_of_graph,
 )
 from preisach.cli import (
     _closure,
@@ -313,14 +315,14 @@ def test_cmd_verify_checks_phi_lengths_against_alternation_oracle(monkeypatch):
 
 def test_cmd_verify_checks_builder_agreement_on_masks(monkeypatch):
     # the forward builder's D-edge of ++- (mask 3) redirected from +-- to ---
-    real = preisach.cli._forward_maps
+    real = preisach.cli.build_forward
 
     def redirected(rho, max_vertices):
-        u_next, d_next = real(rho, max_vertices)
-        assert d_next[0b011] == 0b001
-        return u_next, {**d_next, 0b011: 0b000}
+        g = real(rho, max_vertices)
+        assert g.d_next[0b011] == 0b001
+        return PreisachGraph(rho, g.u_next, {**g.d_next, 0b011: 0b000})
 
-    monkeypatch.setattr(preisach.cli, "_forward_maps", redirected)
+    monkeypatch.setattr(preisach.cli, "build_forward", redirected)
     report = cmd_verify(RHO231)
     assert not report.builders_agree and not report.passed()
 
@@ -577,15 +579,16 @@ def _perm_args(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(
-    st.sampled_from(["build", "export-dot", "export-json"]),
+    st.sampled_from(["build", "export-dot", "export-json", "nesting", "verify"]),
     _perm_args(),
     st.sampled_from(["empty", "below", "exact", "default"]),
     st.integers(-3, 0),
 )
 def test_cli_graph_commands_on_generated_argv(command, perm, budget_kind, empty):
-    # exit 0 prints exactly the export (or size) of build_bfs(rho); a bad
-    # token exits 2; exit 3 happens exactly when the budget is below 1 or
-    # below the vertex count; no exception leaves main
+    # exit 0 prints exactly the library's answer: the export (or size) of
+    # build_bfs(rho), its nesting degree, or the cmd_verify report but for
+    # its elapsed line; a bad token exits 2; exit 3 happens exactly when the
+    # budget is below 1 or below the vertex count; no exception leaves main
     text, rho, count = perm
     budget = {"empty": empty, "below": count - 1, "exact": count, "default": None}[budget_kind]
     argv = [command, f"--perm={text}"]
@@ -606,10 +609,25 @@ def test_cli_graph_commands_on_generated_argv(command, perm, budget_kind, empty)
         assert out == "" and err.startswith("error: "), argv
         return
     g = build_bfs(rho)
+    if command == "verify":
+        checks = "builders_agree cardinality_ok bijection_ok nesting_ok lrpm_ok merge_identities_ok"
+        fields = [line.split("=", 1) for line in out.splitlines()]
+        assert fields.pop(-2)[0] == "elapsed" and (out[-1], err) == ("\n", ""), argv
+        assert fields == [
+            ["perm", ",".join(map(str, rho.values))],
+            ["vertices", str(count)],
+            ["edges", str(g.edge_count)],
+            *[[name, "true"] for name in checks.split()],
+            ["nesting_of_graph", str(nesting_of_graph(g))],
+            ["lis", str(lis_patience(rho))],
+            ["result", "PASS"],
+        ], argv
+        return
     shown = {
         "build": f"vertices={count} edges={g.edge_count}",
         "export-dot": export_dot(g),
         "export-json": export_json(g),
+        "nesting": str(nesting_of_graph(g)),
     }[command]
     assert (out, err) == (shown.removesuffix("\n") + "\n", ""), argv
 

@@ -13,33 +13,22 @@ import pytest
 from hypothesis import given, settings
 
 from preisach import (
-    Cycle,
-    EdgeKind,
     SpinConfig,
     Staircase,
     VertexBudgetExceeded,
     alpha,
     build_bfs,
     build_forward,
-    check_absorption,
-    check_lrpm,
     count_increasing,
-    cycle_of,
-    d_orbit,
-    decompose,
-    edge_label,
-    enumerate_increasing,
     i_minus,
     i_plus,
     invert,
     lis_patience,
-    loop_vertices,
     make_permutation,
     merge_identity_bottom,
     merge_identity_top,
     nesting_degrees,
     omega,
-    u_orbit,
     verify_lrpm,
 )
 from preisach.cli import export_dot, export_json, random_permutation
@@ -51,6 +40,19 @@ from preisach.graph import (
     _mask_steppers,
     _subcycle_walk,
 )
+from preisach.oracle_routes import (
+    Cycle,
+    EdgeKind,
+    check_absorption,
+    check_lrpm,
+    cycle_of,
+    d_orbit,
+    decompose,
+    edge_label,
+    loop_vertices,
+    u_orbit,
+)
+from preisach.oracles import enumerate_increasing
 from strategies import permutations_st
 
 RHO231 = make_permutation([2, 3, 1])
@@ -127,6 +129,15 @@ def test_budget_is_exact(build, values):
     assert len(build(rho, max_vertices=count).vertices) == count
     with pytest.raises(VertexBudgetExceeded, match="budget exceeded"):
         build(rho, max_vertices=count - 1)
+
+
+@pytest.mark.parametrize("build", [build_bfs, build_forward])
+@pytest.mark.parametrize("budget", [0, -1])
+def test_builders_name_an_empty_budget_alike(build, budget):
+    # one gate, graph._charge, for both builders and the CLI's budget checks
+    with pytest.raises(VertexBudgetExceeded) as exc:
+        build(RHO231, max_vertices=budget)
+    assert str(exc.value) == "vertex budget exceeded: budget is empty"
 
 
 def test_graph_is_unhashable():
@@ -686,9 +697,12 @@ def _assert_inverse_duality(rho):
     top = _apply_n(d, _apply_n(u, 0, n - 1), k - 1)
     assert delta(top) == _apply_n(ui, _apply_n(di, full, n - 1), k - 1)
 
-    # phi on rho^-1 of the image of every vertex: the longest label is LIS(rho)
+    # phi on rho^-1 of the image of every vertex labels it from omega, D-block
+    # first: no label is longer than LIS(rho^-1) = LIS(rho), and one is as long
     decode = Staircase(inv).decode
-    assert max(len(decode(delta(m))) for m in [*g.u_next, full]) == lis_patience(rho)
+    lengths = [len(decode(delta(m))) for m in [*g.u_next, full]]
+    lis = lis_patience(rho)
+    assert all(k <= lis for k in lengths) and lis in lengths
 
 
 def test_inverse_duality_exhaustive_small():

@@ -5,15 +5,8 @@ from itertools import compress, permutations, product
 import pytest
 from hypothesis import given, settings
 
-from preisach import (
-    ItemBudgetExceeded,
-    count_increasing,
-    enumerate_increasing,
-    invert,
-    lis_bruteforce,
-    lis_patience,
-    make_permutation,
-)
+from preisach import count_increasing, invert, lis_patience, make_permutation
+from preisach.oracles import ItemBudgetExceeded, enumerate_increasing, lis_bruteforce
 from strategies import permutations_st
 
 RHO231 = make_permutation([2, 3, 1])
