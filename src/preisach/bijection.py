@@ -23,11 +23,14 @@ work on its masks inside.
 
 `Staircase` is phi and its inverse in closed form: a vertex is a nested
 staircase of U- and D-wipes, one per subsequence value, so encoding a
-subsequence and decoding a vertex mask take no graph.  `cmd_verify` checks
-the breadth-first labels by encoding them back; `phi` and `nesting_degree`
-of one vertex, and the CLI's `phi`, `phi-inverse` and `nesting --vertex`,
-answer through it; `encode` is the one production check that a tuple is
-an increasing subsequence.  The oracle routes of this module are in
+subsequence and decoding a vertex mask take no graph.  The pass labels
+phi as cons cells, phi(t) being first[t] followed by phi(rest[t]), and
+`cmd_verify` checks that the labels encode back to their vertices on the
+cells themselves (`Staircase.encodes_cells`), one wipe per vertex; only
+`phi_all` rebuilds the tuples.  `phi` and `nesting_degree` of one vertex,
+and the CLI's `phi`, `phi-inverse` and `nesting --vertex`, answer through
+the codec; `encode` is the one production check that a tuple is an
+increasing subsequence.  The oracle routes of this module are in
 `oracle_routes`.
 """
 
@@ -40,6 +43,8 @@ from .graph import (
     UniquenessViolation,
     VertexBudgetExceeded,
     _closure,
+    _label_lengths,
+    _labels,
     _mask_steppers,
 )
 
@@ -129,6 +134,53 @@ class Staircase:
             v_bound, p_bound = s, p
         return mask
 
+    def encodes_cells(
+        self, first: dict[int, int], rest: dict[int, int], lengths: dict[int, int]
+    ) -> bool:
+        """Whether every label of _closure's cons cells from alpha is an
+        increasing subsequence that encodes to its vertex, in O(1) per
+        vertex; lengths is _label_lengths(rest).
+
+        encode folds over the values from the last, so phi(t) = (s, *phi(r))
+        encodes to t, given that phi(r) encodes to r, exactly when s is
+        below h, the first value of phi(r) (n+1 if r is alpha), at a lower
+        position, and its wipe takes r to t: a U-wipe, t = r | (2^s - 1),
+        when len(phi(t)) is odd, and a D-wipe, t = r & ~prefix[pos(s)],
+        when it is even.  The vertices are checked in table order, so r has
+        passed before t does.  A first[t] that is no value of rho, a
+        rest[t] that is no vertex or is not listed before t (its length
+        then differs from lengths[t] - 1), a missing entry or a table of
+        the wrong size fails; nothing raises.
+
+        >>> rho = Permutation((2, 3, 1))
+        >>> _, _, first, rest = _closure(0, *_mask_steppers(rho), 8)
+        >>> code = Staircase(rho)
+        >>> code.encodes_cells(first, rest, _label_lengths(rest))
+        True
+        >>> forged = {**first, 0b101: 1}  # (1, 3) for (2, 3)
+        >>> code.encodes_cells(forged, rest, _label_lengths(rest))
+        False
+        """
+        top = len(self._values) + 1
+        pos, prefix = {**self._pos, top: top}, self._prefix
+        if not len(first) == len(rest) == len(lengths) - 1:
+            return False
+        try:
+            for t, r in rest.items():
+                s = first[t]
+                k = lengths[t]
+                if k != lengths[r] + 1:
+                    return False
+                h = first[r] if r else top
+                p = pos[s]
+                if not s < h or p >= pos[h]:
+                    return False
+                if t != (r | ((1 << s) - 1) if k & 1 else r & ~prefix[p]):
+                    return False
+        except (KeyError, TypeError):
+            return False
+        return True
+
     def decode(self, mask: int) -> tuple[int, ...]:
         """The increasing subsequence whose staircase `mask` shows; phi of
         the mask if it is a vertex.  An up spin is found by bit arithmetic,
@@ -168,10 +220,10 @@ def phi(g: PreisachGraph, sigma: SpinConfig) -> tuple[int, ...]:
 
 def phi_all(g: PreisachGraph) -> dict[SpinConfig, tuple[int, ...]]:
     """phi for every vertex, labelled by the breadth-first pass (_closure)
-    on g's successor maps.  Its budget, one more than the edge count, is
-    one no graph can exceed."""
-    labels = _closure(0, g.u_next.get, g.d_next.get, 1 + g.edge_count)[2]
-    return {g.config(m): s for m, s in labels.items()}
+    on g's successor maps and rebuilt as tuples (_labels).  Its budget, one
+    more than the edge count, is one no graph can exceed."""
+    _, _, first, rest = _closure(0, g.u_next.get, g.d_next.get, 1 + g.edge_count)
+    return {g.config(m): s for m, s in _labels(first, rest).items()}
 
 
 def nesting_degree(g: PreisachGraph, sigma: SpinConfig) -> int:
@@ -180,8 +232,10 @@ def nesting_degree(g: PreisachGraph, sigma: SpinConfig) -> int:
 
 
 def nesting_degrees(g: PreisachGraph) -> dict[SpinConfig, int]:
-    """Nesting degree of every vertex: the length of its phi."""
-    return {v: len(s) for v, s in phi_all(g).items()}
+    """Nesting degree of every vertex: the length of its phi, from the
+    cons cells of the breadth-first pass (_label_lengths)."""
+    rest = _closure(0, g.u_next.get, g.d_next.get, 1 + g.edge_count)[3]
+    return {g.config(m): k for m, k in _label_lengths(rest).items()}
 
 
 def nesting_of_graph(g: PreisachGraph) -> int:

@@ -23,6 +23,7 @@ from .graph import (
     VertexBudgetExceeded,
     _charge,
     _closure,
+    _label_lengths,
     _mask_steppers,
     build_bfs,
     build_forward,
@@ -279,41 +280,39 @@ def cmd_verify(rho: Permutation, max_vertices: int = DEFAULT_MAX_VERTICES) -> Ve
 
     Every check runs on the builders' mask successor maps (bit i-1 of a
     vertex mask set meaning spin i is up).  One breadth-first pass
-    (graph._closure) gives both the maps and phi; the maps are wrapped as a
-    graph, with no copy, for build_forward equality and verify_lrpm.
+    (graph._closure) gives both the maps and phi, as cons cells; the maps
+    are wrapped as a graph, with no copy, for build_forward equality and
+    verify_lrpm.  Each structure is dropped once its checks are done: the
+    cells before the alternation search, the phi lengths before the
+    forward build.
 
     phi is checked without listing the increasing subsequences.  Every
-    vertex has a label, and Staircase.encode takes each label back to the
-    vertex it labels; encode raises unless its argument is an increasing
-    subsequence.  So phi maps into the increasing subsequences, and it is
-    injective, because equal labels encode to equal masks.  Both sets are
-    finite, and of equal size when vertex_count == count_increasing(rho),
-    so phi is then onto as well."""
+    vertex has a label, and Staircase.encodes_cells confirms, in O(1) per
+    vertex, that each label is an increasing subsequence that encodes back
+    to the vertex it labels.  So phi maps into the increasing subsequences,
+    and it is injective, because equal labels encode to equal masks.  Both
+    sets are finite, and of equal size when vertex_count ==
+    count_increasing(rho), so phi is then onto as well."""
     t0 = time.perf_counter()
-    u_next, d_next, images = _closure(0, *_mask_steppers(rho), max_vertices)
+    u_next, d_next, first, rest = _closure(0, *_mask_steppers(rho), max_vertices)
     g = PreisachGraph(rho, u_next, d_next)
-    builders_agree = build_forward(rho, max_vertices) == g
     # every vertex but omega has a U-edge
     vertex_count = len(u_next) + 1
 
     count = count_increasing(rho)
     cardinality_ok = vertex_count == count
 
-    encode = Staircase(rho).encode
-    try:
-        encodes = len(images) == vertex_count and all(
-            encode(s) == m for m, s in images.items()
-        )
-    except ValueError:  # a label that is no increasing subsequence
-        encodes = False
-    bijection_ok = (
-        cardinality_ok
-        and encodes
-        and {m: len(s) for m, s in images.items()}
-        == _alternation_masks(rho, max_vertices)
+    lengths = _label_lengths(rest)
+    encodes = len(rest) == vertex_count - 1 and Staircase(rho).encodes_cells(
+        first, rest, lengths
     )
-
-    nesting = max(map(len, images.values()))
+    del first, rest
+    nesting = max(lengths.values())
+    bijection_ok = (
+        cardinality_ok and encodes and lengths == _alternation_masks(rho, max_vertices)
+    )
+    del lengths
+    builders_agree = build_forward(rho, max_vertices) == g
     lis = lis_patience(rho)
     nesting_ok = nesting == lis
 
@@ -438,8 +437,8 @@ def cmd_stats(
         lis = lis_patience(rho)
         lis_values.append(lis)
         if _graph_size(rho, lis, max_vertices) <= max_vertices:
-            images = _closure(0, *_mask_steppers(rho), max_vertices)[2]
-            if max(map(len, images.values())) != lis:
+            rest = _closure(0, *_mask_steppers(rho), max_vertices)[3]
+            if max(_label_lengths(rest).values()) != lis:
                 raise RuntimeError(f"graph nesting != LIS for {rho.values}")
             checked += 1
     mean = sum(lis_values) / samples
@@ -540,8 +539,8 @@ def _cmd_nesting(args: argparse.Namespace) -> int:
     rho = parse_permutation(args.perm)
     if args.vertex is None:
         # the longest phi label of the breadth-first pass build_bfs runs
-        labels = _closure(0, *_mask_steppers(rho), args.max_vertices)[2]
-        value = max(map(len, labels.values()))
+        rest = _closure(0, *_mask_steppers(rho), args.max_vertices)[3]
+        value = max(_label_lengths(rest).values())
     else:
         _charge_graph(rho, args.max_vertices)
         value = len(_phi_of(rho, args.vertex))
@@ -581,6 +580,14 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
+class _SignString(argparse.Action):
+    """Store a sign string.  argparse drops a lone "--" value, as in
+    --vertex=--, and passes [] instead; that is the sign string "--"."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, "--" if values == [] else values)
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--perm", required=True, help="permutation, e.g. '2,3,1'")
     sub.add_argument(
@@ -613,6 +620,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--vertex",
         required=True,
+        action=_SignString,
         help="sign string, e.g. '+-+'; use --vertex=-- for strings starting with '-'",
     )
     p.set_defaults(func=_cmd_phi)
@@ -626,7 +634,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("nesting", help="nesting degree of a vertex or the graph")
     _add_common(p)
-    p.add_argument("--vertex", default=None, help="sign string; omit for the graph")
+    p.add_argument(
+        "--vertex", default=None, action=_SignString, help="sign string; omit for the graph"
+    )
     p.set_defaults(func=_cmd_nesting)
 
     p = subs.add_parser("lis", help="longest increasing subsequence length")

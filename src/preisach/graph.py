@@ -19,7 +19,10 @@ exhaustively for small sizes.  On masks U is m | (m + 1) and D clears the
 first set bit in scan order.  `build_bfs` keeps the maps of `_closure`, the
 one breadth-first pass, which also labels phi of every vertex off the
 shortest-path tree and raises `UniquenessViolation` where two shortest
-paths meet; `build_forward` keeps those of `_forward_maps`.
+paths meet; `build_forward` keeps those of `_forward_maps`.  The labels
+are cons cells, not tuples: phi(t) is first[t] followed by phi(rest[t]),
+rest[t] being reached before t, so the pass builds no label and a label
+costs two table entries whatever its length.
 
 `verify_lrpm` checks loop return-point memory by one walk over the major
 sub-cycles of a pair (_subcycle_walk) on masks.  The walk records each
@@ -27,7 +30,8 @@ orbit once, only as far as the targets sought on it, and pushes every
 state it records, so a target already on a record needs no work; a
 sub-cycle it pushes from one orbit's record lies on that orbit by
 construction, so it is checked on its other, open side only, and the
-trivial pairs (s, s) are never pushed.  `build_forward` does not walk: by
+trivial pairs (s, s) are never pushed; the checks of one record
+extension share one stack entry.  `build_forward` does not walk: by
 return-point memory the loop it copies is a plain closure (_loop_closure).
 Every step function here maps a state to its successor, or to None at a
 fixed point.
@@ -173,29 +177,34 @@ def _mask_steppers(rho: Permutation) -> tuple[Step[int], Step[int]]:
 
 def _closure(
     start: int, u_step: Step[int], d_step: Step[int], max_vertices: int
-) -> tuple[dict[int, int], dict[int, int], dict[int, tuple[int, ...]]]:
+) -> tuple[dict[int, int], dict[int, int], dict[int, int], dict[int, int]]:
     """Close {start} under two steps on vertex masks, breadth-first, U
     explored before D from each dequeued vertex: the U- and D-successor maps
-    and phi of every vertex, in one pass.
+    and phi of every vertex as cons cells, in one pass.
 
-    A vertex's tree parent is the vertex that first reaches it, so the tree
-    path is its shortest path.  An edge of the parent's tree-edge kind
-    replaces the parent's newest switch-back label; an edge of the other
-    kind prepends one.  The label of an edge v -> t is the one bit v ^ t.
-    Raises VertexBudgetExceeded past max_vertices vertices, and
+    A vertex's tree parent v is the vertex that first reaches it, so the
+    tree path is its shortest path.  phi(t) is first[t], the label of its
+    tree edge (the one bit v ^ t), followed by phi(rest[t]): rest[t] is v
+    when the edge's kind differs from v's tree-edge kind, so the edge
+    prepends a switch-back label, and rest[v] when it is the same, so it
+    replaces v's newest one.  start has no entry, its phi being ().  Both
+    tables list the vertices in the order they are first reached, each
+    rest[t] before t; _labels rebuilds the tuples, _label_lengths their
+    lengths.  Raises VertexBudgetExceeded past max_vertices vertices, and
     UniquenessViolation if some vertex is reached by two distinct parents
     at the same depth.
     """
     _charge(1, max_vertices)
     u_next: dict[int, int] = {}
     d_next: dict[int, int] = {}
-    labels = {start: ()}
+    first: dict[int, int] = {}
+    rest: dict[int, int] = {}
     depth = {start: 0}
     # a queue entry carries a vertex, its children's depth, its tree-edge
-    # kind (the map its tree edge is in) and its labels
-    queue = deque([(start, 1, None, ())])
+    # kind (the map its tree edge is in) and its rest
+    queue = deque([(start, 1, None, None)])
     while queue:
-        v, d, tree_kind, s = queue.popleft()
+        v, d, tree_kind, v_rest = queue.popleft()
         for step, succ in ((u_step, u_next), (d_step, d_next)):
             t = step(v)
             if t is None:
@@ -203,13 +212,37 @@ def _closure(
             succ[v] = t
             seen = depth.get(t)
             if seen is None:
-                _charge(len(depth) + 1, max_vertices)
+                if len(depth) >= max_vertices:
+                    _charge(len(depth) + 1, max_vertices)
                 depth[t] = d
-                st = labels[t] = ((v ^ t).bit_length(),) + (s[1:] if tree_kind is succ else s)
-                queue.append((t, d + 1, succ, st))
+                first[t] = (v ^ t).bit_length()
+                r = rest[t] = v_rest if tree_kind is succ else v
+                queue.append((t, d + 1, succ, r))
             elif seen == d:
                 raise UniquenessViolation(f"uniqueness violated: two shortest paths reach {t}")
-    return u_next, d_next, labels
+    return u_next, d_next, first, rest
+
+
+def _labels(first: dict[int, int], rest: dict[int, int]) -> dict[int, tuple[int, ...]]:
+    """phi of every vertex as a tuple, rebuilt from the cons cells of
+    _closure from alpha, in their order: alpha first, labelled ()."""
+    labels = {0: ()}
+    for t, r in rest.items():
+        labels[t] = (first[t],) + labels[r]
+    return labels
+
+
+def _label_lengths(rest: dict[int, int]) -> dict[int, int]:
+    """len(phi(t)) for alpha and every vertex t of a rest table from
+    alpha, in its order: one more than the length of rest[t], alpha's
+    being 0.  A rest[t] not listed before t, which _closure never makes,
+    counts as -1, so t gets 0 and fails Staircase.encodes_cells; nothing
+    raises."""
+    lengths = {0: 0}
+    get = lengths.get
+    for t, r in rest.items():
+        lengths[t] = get(r, -1) + 1
+    return lengths
 
 
 def _loop_closure(u_next: dict, d_next: dict, bottom: int, top: int) -> set[int]:
@@ -263,7 +296,7 @@ def build_bfs(rho: Permutation, max_vertices: int = DEFAULT_MAX_VERTICES) -> Pre
     transition as an edge.  From each dequeued vertex the U-successor
     is explored before the D-successor.  The pass also labels phi (see
     _closure); the labels are dropped."""
-    u_next, d_next, _ = _closure(0, *_mask_steppers(rho), max_vertices)
+    u_next, d_next, _, _ = _closure(0, *_mask_steppers(rho), max_vertices)
     return PreisachGraph(rho, u_next, d_next)
 
 
@@ -304,17 +337,19 @@ def _subcycle_walk(u_succ: Step, d_succ: Step, mu, nu) -> set | None:
     v.  A child (m, U^i m) pushed from m's U-record is on that orbit by
     construction, so it checks only its open side, m on the D-orbit of
     U^i m, and a child pushed from a D-record only its U side; the root
-    checks both.  A stack entry (a, b, side) is one such check, b sought on
-    a's orbit.  Index 0 of a record, the pair (s, s), is a cycle whose only
-    child is itself, so it is never pushed, and a root (s, s) finds its
-    target on the new record and returns at once; the ends of a pair are
-    added when it is pushed.  A check scans its record, which for
-    the maps holds at most n+1 states, as each step changes the +1 count by
-    one; an index dict per orbit would double the walk's memory.  A state
-    met twice on one orbit means the orbit cycles and never reaches its
-    target, so that pair is not a cycle either.
+    checks both.  A stack entry (side, sources, b) holds the checks one
+    record extension pushes, b sought on the side-orbit of each state of
+    sources, so a check that pushes nothing costs no entry; the roots are
+    (U, (mu,), nu) and (D, (nu,), mu).  Index 0 of a record, the pair
+    (s, s), is a cycle whose only child is itself, so it is never pushed,
+    and a root (s, s) finds its target on the new record and returns at
+    once; the ends of a pair are added when it is pushed.  A check scans
+    its record, which for the maps holds at most n+1 states, as each step
+    changes the +1 count by one; an index dict per orbit would double the
+    walk's memory.  A state met twice on one orbit means the orbit cycles
+    and never reaches its target, so that pair is not a cycle either.
 
-    >>> u_next, d_next, _ = _closure(0, *_mask_steppers(Permutation((2, 3, 1))), 8)
+    >>> u_next, d_next, _, _ = _closure(0, *_mask_steppers(Permutation((2, 3, 1))), 8)
     >>> sorted(_subcycle_walk(u_next.get, d_next.get, 0, 0b111))
     [0, 1, 3, 5, 7]
     >>> print(_subcycle_walk(u_next.get, {**d_next, 0b011: 0}.get, 0, 0b111))
@@ -324,28 +359,30 @@ def _subcycle_walk(u_succ: Step, d_succ: Step, mu, nu) -> set | None:
     """
     sides = ((u_succ, {}), (d_succ, {}))
     verts = {mu, nu}
-    stack = [(mu, nu, 0), (nu, mu, 1)]
+    stack = [(0, (mu,), nu), (1, (nu,), mu)]
     while stack:
-        a, b, side = stack.pop()
+        side, sources, b = stack.pop()
         succ, records = sides[side]
-        states = records.get(a)
-        if states is None:
-            states = records[a] = [a]
-        if b in states:
-            continue
-        p = len(states)
-        cur = states[-1]
-        while (cur := succ(cur)) is not None and cur not in states:
-            states.append(cur)
-            if cur == b:
-                break
-        else:
-            return None
-        # the last state is b: the pair being checked, added already and not pushed
-        new = states[p:-1]
-        verts.update(new)
-        side = 1 - side
-        stack += [(s, a, side) for s in new]
+        for a in sources:
+            states = records.get(a)
+            if states is None:
+                states = records[a] = [a]
+            if b in states:
+                continue
+            p = len(states)
+            cur = states[-1]
+            while (cur := succ(cur)) is not None and cur not in states:
+                states.append(cur)
+                if cur == b:
+                    break
+            else:
+                return None
+            # the last state is b: the pair being checked, added already and
+            # not pushed, so an extension by b alone pushes no entry
+            if len(states) - p > 1:
+                new = states[p:-1]
+                verts.update(new)
+                stack.append((1 - side, new, a))
     return verts
 
 
@@ -388,21 +425,20 @@ def _apply_n(step: Step[int], m: int, times: int) -> int:
 
 
 def merge_identity_top(rho: Permutation) -> bool:
-    """D^{k-1} U^{n-1} alpha equals D^k U^n alpha, where rho_k = n."""
+    """D^{k-1} U^{n-1} alpha equals D^k U^n alpha, where rho_k = n.  The
+    U-chain is walked once: U^n alpha is one more step from U^{n-1} alpha."""
     n = rho.n
     k = rho.position_of(n)
     u_step, d_step = _mask_steppers(rho)
-    lhs = _apply_n(d_step, _apply_n(u_step, 0, n - 1), k - 1)
-    rhs = _apply_n(d_step, _apply_n(u_step, 0, n), k)
-    return lhs == rhs
+    below = _apply_n(u_step, 0, n - 1)
+    return _apply_n(d_step, below, k - 1) == _apply_n(d_step, _apply_n(u_step, below, 1), k)
 
 
 def merge_identity_bottom(rho: Permutation) -> bool:
-    """U^{q-1} D^{n-1} omega equals U^q D^n omega, where q = rho_n."""
+    """U^{q-1} D^{n-1} omega equals U^q D^n omega, where q = rho_n.  The
+    D-chain is walked once: D^n omega is one more step from D^{n-1} omega."""
     n = rho.n
     q = rho.values[-1]
-    full = (1 << n) - 1
     u_step, d_step = _mask_steppers(rho)
-    lhs = _apply_n(u_step, _apply_n(d_step, full, n - 1), q - 1)
-    rhs = _apply_n(u_step, _apply_n(d_step, full, n), q)
-    return lhs == rhs
+    above = _apply_n(d_step, (1 << n) - 1, n - 1)
+    return _apply_n(u_step, above, q - 1) == _apply_n(u_step, _apply_n(d_step, above, 1), q)

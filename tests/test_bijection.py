@@ -29,7 +29,13 @@ from preisach import (
 )
 from preisach.bijection import _alternation_masks
 from preisach.cli import random_permutation
-from preisach.graph import DEFAULT_MAX_VERTICES, _closure, _mask_steppers
+from preisach.graph import (
+    DEFAULT_MAX_VERTICES,
+    _closure,
+    _label_lengths,
+    _labels,
+    _mask_steppers,
+)
 from preisach.oracle_routes import (
     EdgeKind,
     Path,
@@ -258,7 +264,7 @@ def test_bijection_exhaustive_small():
 
 
 def _assert_mask_labels_match_view(rho):
-    labels = _closure(0, *_mask_steppers(rho), DEFAULT_MAX_VERTICES)[2]
+    labels = _labels(*_closure(0, *_mask_steppers(rho), DEFAULT_MAX_VERTICES)[2:])
     degrees = _alternation_masks(rho)
     def config(m):
         return SpinConfig._unchecked(rho.n, m)
@@ -354,13 +360,89 @@ def test_staircase_matches_breadth_first_phi_exhaustive_small():
         for values in permutations(range(1, n + 1)):
             rho = make_permutation(values)
             code = Staircase(rho)
-            labels = _closure(0, *_mask_steppers(rho), DEFAULT_MAX_VERTICES)[2]
+            labels = _labels(*_closure(0, *_mask_steppers(rho), DEFAULT_MAX_VERTICES)[2:])
             for c in range(1 << n):
                 s = code.decode(c)
                 if c in labels:
                     assert s == labels[c] and code.encode(s) == c
                 else:
                     assert code.encode(s) != c
+
+
+def _cells(rho):
+    """The cons cells (first, rest) of the breadth-first pass over rho."""
+    return _closure(0, *_mask_steppers(rho), DEFAULT_MAX_VERTICES)[2:]
+
+
+def test_encodes_cells_matches_per_label_encode_exhaustive_small():
+    # the O(1)-per-vertex check gives the verdict of encoding every tuple of
+    # phi_all, and the phi lengths are those tuples' lengths, in its order
+    for n in range(1, 8):
+        for values in permutations(range(1, n + 1)):
+            rho = make_permutation(values)
+            first, rest = _cells(rho)
+            lengths = _label_lengths(rest)
+            labels = {v.mask: s for v, s in phi_all(build_bfs(rho)).items()}
+            encode = Staircase(rho).encode
+            verdict = all(encode(s) == m for m, s in labels.items())
+            assert Staircase(rho).encodes_cells(first, rest, lengths) == verdict, values
+            assert verdict and list(lengths.items()) == [(m, len(s)) for m, s in labels.items()]
+
+
+def _forged_cells(first, rest, n):
+    """Every pair of tables that differs from (first, rest) in one entry:
+    a first[t] set to any other value in 0..n+1, or a rest[t] set to any
+    other vertex or to a non-vertex mask, 2^n included."""
+    for t in rest:
+        for s in range(n + 2):
+            if s != first[t]:
+                yield {**first, t: s}, rest
+        for r in range((1 << n) + 1):
+            if r != rest[t]:
+                yield first, {**rest, t: r}
+
+
+def test_encodes_cells_rejects_every_single_forged_entry():
+    forgeries = 0
+    for n in range(1, 6):
+        for values in permutations(range(1, n + 1)):
+            rho = make_permutation(values)
+            code = Staircase(rho)
+            for first, rest in _forged_cells(*_cells(rho), n):
+                assert not code.encodes_cells(first, rest, _label_lengths(rest)), values
+                forgeries += 1
+    assert forgeries > 50_000
+
+
+def test_encodes_cells_rejects_a_rest_listed_after_its_vertex():
+    # the true cells, with one vertex moved ahead of its rest: the fold
+    # still holds for a label of even length, but the order does not
+    moved = 0
+    for n in range(1, 6):
+        for values in permutations(range(1, n + 1)):
+            rho = make_permutation(values)
+            first, rest = _cells(rho)
+            code = Staircase(rho)
+            for t, r in rest.items():
+                if r:
+                    ahead = {t: r, **rest}
+                    assert not code.encodes_cells(first, ahead, _label_lengths(ahead)), values
+                    moved += 1
+    assert moved == 926
+
+
+def test_encodes_cells_rejects_tables_of_the_wrong_size():
+    first, rest = _cells(RHO24351)
+    code = Staircase(RHO24351)
+    assert code.encodes_cells(first, rest, _label_lengths(rest))
+    t = next(iter(rest))
+    short = {m: r for m, r in rest.items() if m != t}
+    assert not code.encodes_cells(first, short, _label_lengths(short))
+    assert not code.encodes_cells({**first, 0: 5}, rest, _label_lengths(rest))
+    # alpha given a cell of its own
+    with_alpha = {**rest, 0: 0}
+    assert not code.encodes_cells({**first, 0: 1}, with_alpha, _label_lengths(with_alpha))
+    assert not code.encodes_cells({**first, t: None}, rest, _label_lengths(rest))
 
 
 @st.composite

@@ -5,8 +5,10 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import redirect_stderr, redirect_stdout
@@ -30,6 +32,7 @@ from preisach import (
     lis_patience,
     make_permutation,
     nesting_of_graph,
+    phi_all,
 )
 from preisach.cli import (
     _closure,
@@ -46,7 +49,7 @@ from preisach.cli import (
     parse_permutation,
     random_permutation,
 )
-from preisach.graph import DEFAULT_MAX_VERTICES, _charge
+from preisach.graph import DEFAULT_MAX_VERTICES, _charge, _labels
 from strategies import permutations_st
 
 RHO231 = make_permutation([2, 3, 1])
@@ -333,8 +336,8 @@ def test_cmd_verify_checks_lrpm_on_masks(monkeypatch):
     real = preisach.cli._closure
 
     def forged(start, u_step, d_step, max_vertices):
-        u_next, d_next, labels = real(start, u_step, d_step, max_vertices)
-        return u_next, {**d_next, 0b011: 0b000}, labels
+        u_next, d_next, first, rest = real(start, u_step, d_step, max_vertices)
+        return u_next, {**d_next, 0b011: 0b000}, first, rest
 
     monkeypatch.setattr(preisach.cli, "_closure", forged)
     report = cmd_verify(RHO231)
@@ -343,12 +346,21 @@ def test_cmd_verify_checks_lrpm_on_masks(monkeypatch):
 
 def _forge_labels(monkeypatch, relabel):
     """Make cmd_verify see the breadth-first labels with those of relabel,
-    keyed by vertex mask, in their place."""
+    keyed by vertex mask, in their place.  Each forged label is a cons
+    cell: its first value, and as its rest a vertex listed before it whose
+    label is the forged label's tail."""
     real = preisach.cli._closure
 
     def forged(start, u_step, d_step, max_vertices):
-        u_next, d_next, labels = real(start, u_step, d_step, max_vertices)
-        return u_next, d_next, {**labels, **relabel}
+        u_next, d_next, first, rest = real(start, u_step, d_step, max_vertices)
+        labels = _labels(first, rest)
+        order = list(labels)
+        first, rest = dict(first), dict(rest)
+        for t, label in relabel.items():
+            first[t] = label[0]
+            rest[t] = next(r for r in order[: order.index(t)] if labels[r] == label[1:])
+        assert _labels(first, rest) == {**labels, **relabel}
+        return u_next, d_next, first, rest
 
     monkeypatch.setattr(preisach.cli, "_closure", forged)
 
@@ -356,7 +368,7 @@ def _forge_labels(monkeypatch, relabel):
 def test_cmd_verify_rejects_swapped_labels(monkeypatch):
     # +-- and ++- swap labels: the same set of labels, the same lengths,
     # but no longer phi
-    labels = _closure(0, *_mask_steppers(RHO231), 8)[2]
+    labels = _labels(*_closure(0, *_mask_steppers(RHO231), 8)[2:])
     assert (labels[0b001], labels[0b011]) == ((1,), (2,))
     _forge_labels(monkeypatch, {0b001: (2,), 0b011: (1,)})
     report = cmd_verify(RHO231)
@@ -370,6 +382,24 @@ def test_cmd_verify_rejects_a_label_that_is_no_subsequence(monkeypatch, label):
     _forge_labels(monkeypatch, {0b101: label})
     report = cmd_verify(RHO231)
     assert not report.bijection_ok and not report.passed()
+
+
+def test_cmd_verify_peak_memory_per_vertex():
+    # each structure is dropped once its checks are done: identity n=14
+    # (16,384 vertices) peaks at 367 B per vertex under tracemalloc, run
+    # after run; 403 if the phi lengths outlive their comparison, 439 if
+    # the cons cells do, 498 with label tuples kept to the end
+    rho = make_permutation(range(1, 15))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        report = cmd_verify(rho)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert report.passed() and report.vertex_count == 1 << 14
+    assert peak / report.vertex_count < 390
 
 
 def test_cmd_verify_all_small():
@@ -563,12 +593,13 @@ _BAD_TOKENS = ["x", "+2", "1_0", "0x1", "2.0", "\u0662", "0", "-1", "--1"]
 
 
 @st.composite
-def _perm_args(draw):
+def _perm_args(draw, bad_st=st.booleans()):
     """A --perm string, the permutation it should parse to (None if a bad
-    token was put in), and that permutation's vertex count."""
+    token was put in, as bad_st draws), and that permutation's vertex
+    count."""
     rho = draw(permutations_st(max_n=7))
     tokens = [str(v) for v in rho.values]
-    bad = draw(st.booleans())
+    bad = draw(bad_st)
     if bad:
         i = draw(st.integers(0, rho.n - 1))
         extra = [str(rho.n + 1)] + [t for t in tokens if t != tokens[i]]
@@ -630,6 +661,125 @@ def test_cli_graph_commands_on_generated_argv(command, perm, budget_kind, empty)
         "nesting": str(nesting_of_graph(g)),
     }[command]
     assert (out, err) == (shown.removesuffix("\n") + "\n", ""), argv
+
+
+_TO_BITS = str.maketrans("+-", "10")
+
+
+def _signs(mask, n):
+    return "".join("+" if mask >> i & 1 else "-" for i in range(n))
+
+
+@st.composite
+def _codec_argv(draw, command, n, labels):
+    """The option a codec command takes, for an n-spin permutation whose
+    phi is labels (empty if there is none), and its value: for phi and
+    nesting --vertex a sign string, of a vertex, of a non-vertex, of the
+    wrong length or with an illegal character; for phi-inverse a list of
+    values, an increasing subsequence, rising values at any positions, any
+    values or a list with a bad token."""
+    if command == "phi-inverse":
+        kinds = ["rising", "any", "bad"] + ["increasing", "increasing"] * bool(labels)
+        kind = draw(st.sampled_from(kinds))
+        if kind == "increasing":
+            values = list(draw(st.sampled_from(sorted(labels.values()))))
+        elif kind == "rising":
+            # rising values, so their positions decide
+            values = sorted(draw(st.sets(st.integers(1, n), max_size=n)))
+        else:
+            values = draw(st.lists(st.integers(-1, n + 1), max_size=4))
+        if kind == "bad":
+            values[draw(st.integers(0, len(values))) :] = [draw(st.sampled_from(_BAD_TOKENS[:6]))]
+        return "--subseq", ",".join(map(str, values)) or "()"
+    others = [m for m in range(1 << n) if m not in labels]
+    kinds = ["length", "illegal"] + ["vertex"] * 3 * bool(labels) + ["other"] * bool(others)
+    kind = draw(st.sampled_from(kinds))
+    if kind == "vertex":
+        text = _signs(draw(st.sampled_from(sorted(labels))), n)
+    elif kind == "other":
+        text = _signs(draw(st.sampled_from(others)), n)
+    else:
+        text = _signs(draw(st.integers(0, (1 << n) - 1)), n)
+    if kind == "length":
+        text = text + "+" if draw(st.booleans()) or n == 1 else text[1:]
+    elif kind == "illegal":
+        i = draw(st.integers(0, n - 1))
+        text = text[:i] + draw(st.sampled_from("x0 1")) + text[i + 1 :]
+    return "--vertex", text
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["phi", "phi-inverse", "nesting", "lis"]),
+    _perm_args(st.sampled_from([False, False, False, True])),
+    st.sampled_from(["empty", "below"] + ["exact", "default"] * 2),
+    st.integers(-3, 0),
+    st.data(),
+)
+def test_cli_codec_commands_on_generated_argv(command, perm, budget_kind, empty, data):
+    # exit 0 prints the answer read off phi_all(build_bfs(rho)): the label
+    # of a vertex, the vertex of a label, a label's length, or the longest
+    # label's length for lis; a bad token, a non-vertex or a sequence that
+    # is no increasing subsequence exits 2; exit 3 happens exactly when the
+    # budget is below 1 or below the vertex count (lis takes no budget);
+    # no exception leaves main
+    text, rho, count = perm
+    n = len(text.replace(",", " ").split())
+    labels = {} if rho is None else {v.mask: s for v, s in phi_all(build_bfs(rho)).items()}
+    argv = [command, f"--perm={text}"]
+    budget = value = None
+    if command != "lis":
+        option, value = data.draw(_codec_argv(command, n, labels))
+        argv.append(f"{option}={value}")
+        budget = {"empty": empty, "below": count - 1, "exact": count, "default": None}[budget_kind]
+        if budget is not None:
+            argv.append(f"--max-vertices={budget}")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    if rho is None:
+        expected = 2
+    elif budget is not None and (budget < 1 or budget < count):
+        expected = 3
+    else:
+        answer = _codec_answer(command, value, n, labels)
+        expected = 2 if answer is None else 0
+    assert code == expected, argv
+    if code:
+        assert out == "" and err.startswith("error: "), argv
+    else:
+        assert (out, err) == (answer + "\n", ""), argv
+
+
+def _codec_answer(command, value, n, labels):
+    """What a codec command prints for an option value, read off labels,
+    phi of every vertex mask; None if the value must be rejected."""
+    if command == "lis":
+        return str(max(map(len, labels.values())))
+    if command == "phi-inverse":
+        values = value.split(",") if value != "()" else []
+        if not all(re.fullmatch(r"-?[0-9]+", v) for v in values):
+            return None
+        vertex_of = {s: m for m, s in labels.items()}
+        key = tuple(map(int, values))
+        return _signs(vertex_of[key], n) if key in vertex_of else None
+    if len(value) != n or not set(value) <= set("+-"):
+        return None
+    label = labels.get(int(value[::-1].translate(_TO_BITS), 2))
+    if label is None:
+        return None
+    return (",".join(map(str, label)) or "()") if command == "phi" else str(len(label))
+
+
+def test_cli_takes_the_sign_string_of_two_down_spins(capsys):
+    # argparse passes [] for the value of --vertex=--; it is the sign string "--"
+    assert main(["phi", "--perm", "2,1", "--vertex=--"]) == 0
+    assert capsys.readouterr() == ("()\n", "")
+    assert main(["nesting", "--perm", "2,1", "--vertex=--"]) == 0
+    assert capsys.readouterr() == ("0\n", "")
+    assert main(["phi", "--perm", "1,2,3", "--vertex=--"]) == 2
+    assert capsys.readouterr().err == "error: expected 3 spins, got 2\n"
 
 
 def test_cli_phi_round_trip(capsys):

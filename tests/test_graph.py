@@ -36,6 +36,7 @@ from preisach.graph import (
     _apply_n,
     _closure,
     _forward_maps,
+    _labels,
     _loop_closure,
     _mask_steppers,
     _subcycle_walk,
@@ -563,7 +564,7 @@ def _assert_loop_sizes(rho):
     has increasing subsequences ending at value m, and its copies are the
     vertices whose breadth-first phi label ends in m."""
     ending = Counter(s[-1] for s in enumerate_increasing(rho) if s)
-    labels = _closure(0, *_mask_steppers(rho), count_increasing(rho))[2]
+    labels = _labels(*_closure(0, *_mask_steppers(rho), count_increasing(rho))[2:])
     for m, (_, u_next, d_next, bottom, top) in enumerate(_forward_steps(rho), 2):
         loop = _loop_closure(u_next, d_next, bottom, top)
         assert len(loop) == ending[m], (rho.values, m)
