@@ -13,13 +13,13 @@ minimal number of alternating blocks needed to reach it.
 `phi_all` labels every vertex in one breadth-first pass over the graph's
 successor maps: `graph._closure`, the pass that also builds the
 breadth-first graph and raises `UniquenessViolation` (defined in `graph`,
-re-exported here).  `_alternation_masks` finds every nesting degree
-without shortest paths, level by level over raw map applications on
-masks, level d holding the states first reached with d alternating
-blocks.  `cli.cmd_verify` takes the breadth-first maps and phi from one
-call of that pass and compares their lengths with that search.
-Functions of a graph take and return configurations (`SpinConfig`) and
-work on its masks inside.
+re-exported here).  `cli.cmd_verify` takes the breadth-first maps and phi
+from one call of that pass, and compares the phi lengths with the nesting
+degrees read off the hierarchy of cycles and sub-cycles: the depth at
+which the major sub-cycle walk from (alpha, omega) first meets each vertex
+(`graph._subcycle_walk`).  A forged graph whose walk fails has no such
+degrees, so its bijection check fails too.  Functions of a graph take and
+return configurations (`SpinConfig`) and work on its masks inside.
 
 `Staircase` is phi and its inverse in closed form: a vertex is a nested
 staircase of U- and D-wipes, one per subsequence value, so encoding a
@@ -38,14 +38,11 @@ from __future__ import annotations
 
 from .core import Permutation, SpinConfig
 from .graph import (
-    DEFAULT_MAX_VERTICES,
     PreisachGraph,
     UniquenessViolation,
-    VertexBudgetExceeded,
     _closure,
     _label_lengths,
     _labels,
-    _mask_steppers,
 )
 
 __all__ = [
@@ -152,6 +149,7 @@ class Staircase:
         then differs from lengths[t] - 1), a missing entry or a table of
         the wrong size fails; nothing raises.
 
+        >>> from preisach.graph import _mask_steppers
         >>> rho = Permutation((2, 3, 1))
         >>> _, _, first, rest = _closure(0, *_mask_steppers(rho), 8)
         >>> code = Staircase(rho)
@@ -242,43 +240,3 @@ def nesting_of_graph(g: PreisachGraph) -> int:
     """Maximal nesting degree over all vertices."""
     return max(nesting_degrees(g).values())
 
-
-def _alternation_masks(
-    rho: Permutation, max_vertices: int = DEFAULT_MAX_VERTICES
-) -> dict[int, int]:
-    """Minimal alternating-block count for every configuration reachable
-    from alpha, keyed by vertex mask, found level by level over raw map
-    applications.
-
-    Level 0 is alpha, entered as if by a D-step: it has no D-successor, so
-    its first U-step opens the first block.  Level d+1 holds the states one
-    more block away: from each state of level d, step once in the other
-    kind, then keep stepping in that kind until reaching a state already
-    entered.  Every state of a level is entered by the same kind, U on odd
-    levels and D on even ones, and its degree is the level that enters it.
-    A state is entered once, by either kind: if the first entry is at level
-    e, a later one is at a level of the other kind, so at least e + 1, and
-    each of its two steps is already taken from level e at no more cost.
-    Independent of the graph builders and of the shortest-path machinery.
-
-    >>> sorted(_alternation_masks(Permutation((2, 3, 1))).items())
-    [(0, 0), (1, 1), (3, 1), (5, 2), (7, 1)]
-    """
-    u_step, d_step = _mask_steppers(rho)
-    best = {0: 0}
-    level = [0]
-    d = 0
-    while level:
-        d += 1
-        step = u_step if d & 1 else d_step
-        nxt = []
-        for m in level:
-            while (m := step(m)) is not None and m not in best:
-                if len(best) + 1 > max_vertices:
-                    raise VertexBudgetExceeded(
-                        f"vertex budget exceeded: more than {max_vertices} configurations"
-                    )
-                best[m] = d
-                nxt.append(m)
-        level = nxt
-    return best

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import permutations as all_permutations
 from statistics import pstdev
 
-from .bijection import Staircase, _alternation_masks
+from .bijection import Staircase
 from .core import Permutation, SpinConfig, make_permutation
 from .graph import (
     DEFAULT_MAX_VERTICES,
@@ -23,13 +23,13 @@ from .graph import (
     VertexBudgetExceeded,
     _charge,
     _closure,
+    _forward_agrees,
     _label_lengths,
     _mask_steppers,
+    _merge_bottom,
+    _merge_top,
+    _subcycle_walk,
     build_bfs,
-    build_forward,
-    merge_identity_bottom,
-    merge_identity_top,
-    verify_lrpm,
 )
 from .oracles import count_increasing, lis_patience
 
@@ -272,19 +272,22 @@ class VerifyReport:
 
 
 def cmd_verify(rho: Permutation, max_vertices: int = DEFAULT_MAX_VERTICES) -> VerifyReport:
-    """Build the graph both ways and check every structural identity:
-    builder equality, vertex count = subsequence count, bijectivity of phi
-    with each length equal to the tree-free minimal alternation count, graph
-    nesting = LIS length, loop return-point memory of (alpha, omega), and
-    both merge identities.
+    """Build the graph once and check every structural identity: builder
+    equality, vertex count = subsequence count, bijectivity of phi with
+    each length equal to the nesting degree, graph nesting = LIS length,
+    loop return-point memory of (alpha, omega), and both merge identities.
 
-    Every check runs on the builders' mask successor maps (bit i-1 of a
-    vertex mask set meaning spin i is up).  One breadth-first pass
-    (graph._closure) gives both the maps and phi, as cons cells; the maps
-    are wrapped as a graph, with no copy, for build_forward equality and
-    verify_lrpm.  Each structure is dropped once its checks are done: the
-    cells before the alternation search, the phi lengths before the
-    forward build.
+    Every check runs on the mask successor maps (bit i-1 of a vertex mask
+    set meaning spin i is up) of one breadth-first pass (graph._closure),
+    which also labels phi, as cons cells.  The steppers of rho are built
+    once, for the pass and both merge identities.  One major sub-cycle walk
+    from (alpha, omega) (graph._subcycle_walk) decides loop return-point
+    memory and gives each vertex its depth in the hierarchy of sub-cycles,
+    its nesting degree, which must equal its phi length; on maps whose
+    walk fails there are no degrees, so bijection_ok is false as well as
+    lrpm_ok.  Builder agreement runs build_forward's rule against the same
+    maps (graph._forward_agrees) instead of building a second graph.  The
+    cells are dropped once checked, before the walk, where the run peaks.
 
     phi is checked without listing the increasing subsequences.  Every
     vertex has a label, and Staircase.encodes_cells confirms, in O(1) per
@@ -294,8 +297,8 @@ def cmd_verify(rho: Permutation, max_vertices: int = DEFAULT_MAX_VERTICES) -> Ve
     sets are finite, and of equal size when vertex_count ==
     count_increasing(rho), so phi is then onto as well."""
     t0 = time.perf_counter()
-    u_next, d_next, first, rest = _closure(0, *_mask_steppers(rho), max_vertices)
-    g = PreisachGraph(rho, u_next, d_next)
+    steps = _mask_steppers(rho)
+    u_next, d_next, first, rest = _closure(0, *steps, max_vertices)
     # every vertex but omega has a U-edge
     vertex_count = len(u_next) + 1
 
@@ -308,21 +311,19 @@ def cmd_verify(rho: Permutation, max_vertices: int = DEFAULT_MAX_VERTICES) -> Ve
     )
     del first, rest
     nesting = max(lengths.values())
-    bijection_ok = (
-        cardinality_ok and encodes and lengths == _alternation_masks(rho, max_vertices)
-    )
-    del lengths
-    builders_agree = build_forward(rho, max_vertices) == g
+    degrees = _subcycle_walk(u_next.get, d_next.get, 0, (1 << rho.n) - 1)
+    lrpm_ok = degrees is not None
+    bijection_ok = cardinality_ok and encodes and lengths == degrees
+    builders_agree = _forward_agrees(rho, u_next, d_next)
     lis = lis_patience(rho)
     nesting_ok = nesting == lis
 
-    lrpm_ok = verify_lrpm(g)
-    merge_ok = merge_identity_top(rho) and merge_identity_bottom(rho)
+    merge_ok = _merge_top(rho, *steps) and _merge_bottom(rho, *steps)
 
     return VerifyReport(
         perm=rho,
         vertex_count=vertex_count,
-        edge_count=g.edge_count,
+        edge_count=len(u_next) + len(d_next),
         builders_agree=builders_agree,
         cardinality_ok=cardinality_ok,
         bijection_ok=bijection_ok,

@@ -26,22 +26,27 @@ costs two table entries whatever its length.
 
 `verify_lrpm` checks loop return-point memory by one walk over the major
 sub-cycles of a pair (_subcycle_walk) on masks.  The walk records each
-orbit once, only as far as the targets sought on it, and pushes every
+orbit once, only as far as the targets sought on it, and queues every
 state it records, so a target already on a record needs no work; a
-sub-cycle it pushes from one orbit's record lies on that orbit by
+sub-cycle it queues from one orbit's record lies on that orbit by
 construction, so it is checked on its other, open side only, and the
-trivial pairs (s, s) are never pushed; the checks of one record
-extension share one stack entry.  `build_forward` does not walk: by
-return-point memory the loop it copies is a plain closure (_loop_closure).
-Every step function here maps a state to its successor, or to None at a
-fixed point.
+trivial pairs (s, s) are never queued; the checks of one record
+extension share one queue entry.  The queue is first in, first out, and
+the walk returns the depth at which it first meets each state in that
+hierarchy of sub-cycles: from (alpha, omega), the nesting degree of
+every vertex, which cmd_verify compares with the phi lengths.
+`build_forward` does not walk: by return-point memory the loop it copies
+is a plain closure (_loop_closure).  `_forward_agrees` runs its rule
+against maps already built and checks each entry it would write, so
+builder agreement needs no second graph.  Every step function here maps
+a state to its successor, or to None at a fixed point.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, TypeVar
+from typing import Callable, Iterator, TypeVar
 
 from .core import Permutation, SpinConfig
 
@@ -260,6 +265,24 @@ def _loop_closure(u_next: dict, d_next: dict, bottom: int, top: int) -> set[int]
     return loop
 
 
+def _forward_steps(
+    rho: Permutation, u_next: dict[int, int], d_next: dict[int, int]
+) -> Iterator[tuple[int, int, int, set[int]]]:
+    """The steps m = 2..n of build_forward, read off maps that hold at
+    least the graph grown so far: for each, (bit, bottom, top, loop), bit
+    being 1 << (m-1) and loop the closure (bottom, top) it copies.  The
+    maps are read lazily, so a caller may grow them between steps."""
+    top = 1
+    for m in range(2, rho.n + 1):
+        k = sum(1 for v in rho.values[: rho.position_of(m)] if v <= m)
+        bottom = top
+        for _ in range(k - 1):
+            bottom = d_next[bottom]
+        bit = 1 << (m - 1)
+        yield bit, bottom, top, _loop_closure(u_next, d_next, bottom, top)
+        top |= bit
+
+
 def _forward_maps(
     rho: Permutation, max_vertices: int = DEFAULT_MAX_VERTICES
 ) -> tuple[dict[int, int], dict[int, int]]:
@@ -268,27 +291,52 @@ def _forward_maps(
     # every vertex but the current top has a U-edge, so |V| = len(u_next) + 1
     u_next = {0: 1}
     d_next = {1: 0}
-    top = 1
-
-    for m in range(2, rho.n + 1):
-        k = sum(1 for v in rho.values[: rho.position_of(m)] if v <= m)
-        bottom = top
-        for _ in range(k - 1):
-            bottom = d_next[bottom]
-        loop = _loop_closure(u_next, d_next, bottom, top)
+    for bit, bottom, top, loop in _forward_steps(rho, u_next, d_next):
         _charge(len(u_next) + 1 + len(loop), max_vertices)
-
-        bit = 1 << (m - 1)
         for v in loop:
             if v != top:
                 u_next[v | bit] = u_next[v] | bit
             if v != bottom:
                 d_next[v | bit] = d_next[v] | bit
-
         u_next[top] = top | bit
         d_next[bottom | bit] = bottom
-        top |= bit
     return u_next, d_next
+
+
+def _forward_agrees(rho: Permutation, u_next: dict[int, int], d_next: dict[int, int]) -> bool:
+    """Whether (u_next, d_next) == _forward_maps(rho), without building it:
+    _forward_maps's rule run against the given maps, each entry it would
+    write checked to be there already.
+
+    Sound by induction.  The seeds {0: 1} and {1: 0} are checked first.  A
+    step reads only entries of the vertices grown so far, and each of those
+    has passed its check, but for the top's U-edge, which the given maps
+    hold and the partial forward graph lacks; _loop_closure never follows
+    it.  So every step reads what _forward_maps reads, and checks what it
+    writes: v | bit to the successor of v with bit set, for each loop
+    vertex v but the top (U) and the bottom (D), then the joining U-edge
+    of the top and D-edge of bottom | bit, 2 |loop| entries in all.  The
+    keys written are distinct, so the maps are the forward ones exactly
+    when every written entry is there and the maps hold no more.  A read
+    the maps lack, from a forged entry, answers False; nothing raises.
+    """
+    if u_next.get(0) != 1 or d_next.get(1) != 0:
+        return False
+    u_get, d_get = u_next.get, d_next.get
+    written = 2
+    try:
+        for bit, bottom, top, loop in _forward_steps(rho, u_next, d_next):
+            for v in loop:
+                if v != top and u_get(v | bit) != u_next[v] | bit:
+                    return False
+                if v != bottom and d_get(v | bit) != d_next[v] | bit:
+                    return False
+            if u_get(top) != top | bit or d_get(bottom | bit) != bottom:
+                return False
+            written += 2 * len(loop)
+    except KeyError:
+        return False
+    return written == len(u_next) + len(d_next)
 
 
 def build_bfs(rho: Permutation, max_vertices: int = DEFAULT_MAX_VERTICES) -> PreisachGraph:
@@ -316,11 +364,11 @@ def build_forward(rho: Permutation, max_vertices: int = DEFAULT_MAX_VERTICES) ->
     return PreisachGraph(rho, *_forward_maps(rho, max_vertices))
 
 
-def _subcycle_walk(u_succ: Step, d_succ: Step, mu, nu) -> set | None:
+def _subcycle_walk(u_succ: Step, d_succ: Step, mu, nu) -> dict | None:
     """Walk the major sub-cycles of (mu, nu): from a reached pair (m, v) on
     to (m, u) for each state u of its U-boundary and (w, v) for each state w
-    of its D-boundary.  Returns the union of the boundary states, or None as
-    soon as a reached pair is not a cycle.
+    of its D-boundary.  Returns the nesting degree of every state the walk
+    meets, or None as soon as a reached pair is not a cycle.
 
     u_succ and d_succ map a state to its successor, or to None at a fixed
     point; states are any hashable values.  The U-boundary of (m, v) is the
@@ -329,39 +377,55 @@ def _subcycle_walk(u_succ: Step, d_succ: Step, mu, nu) -> set | None:
     v are (D^j v, v).  Each orbit is therefore recorded once, as a list
     that grows only as far as the targets sought on it.  A check whose
     target is already on the record has nothing to do; one that steps
-    stops at its target and adds and pushes every new state before it, so
-    every state of a record has been pushed.  Every orbit state is stepped,
-    added and pushed once: O(reached pairs) steps, not O(pairs x boundary).
+    stops at its target and adds and queues every new state before it, so
+    every state of a record has been queued.  Every orbit state is stepped,
+    added and queued once: O(reached pairs) steps, not O(pairs x boundary).
 
     A pair is a cycle when v is on the U-orbit of m and m on the D-orbit of
-    v.  A child (m, U^i m) pushed from m's U-record is on that orbit by
+    v.  A child (m, U^i m) queued from m's U-record is on that orbit by
     construction, so it checks only its open side, m on the D-orbit of
-    U^i m, and a child pushed from a D-record only its U side; the root
-    checks both.  A stack entry (side, sources, b) holds the checks one
-    record extension pushes, b sought on the side-orbit of each state of
-    sources, so a check that pushes nothing costs no entry; the roots are
+    U^i m, and a child queued from a D-record only its U side; the root
+    checks both.  A queue entry (side, sources, b) holds the checks one
+    record extension queues, b sought on the side-orbit of each state of
+    sources, so a check that queues nothing costs no entry; the roots are
     (U, (mu,), nu) and (D, (nu,), mu).  Index 0 of a record, the pair
-    (s, s), is a cycle whose only child is itself, so it is never pushed,
+    (s, s), is a cycle whose only child is itself, so it is never queued,
     and a root (s, s) finds its target on the new record and returns at
-    once; the ends of a pair are added when it is pushed.  A check scans
-    its record, which for the maps holds at most n+1 states, as each step
-    changes the +1 count by one; an index dict per orbit would double the
-    walk's memory.  A state met twice on one orbit means the orbit cycles
-    and never reaches its target, so that pair is not a cycle either.
+    once.  A check scans its record, which for the maps holds at most n+1
+    states, as each step changes the +1 count by one; an index dict per
+    orbit would double the walk's memory.  A state met twice on one orbit
+    means the orbit cycles and never reaches its target, so that pair is
+    not a cycle either.
+
+    The degrees are the hierarchy's depth: mu has 0, and a state gets
+    deg[a] + 1 when it is first added to the record of a source a, the
+    queue being first in, first out.  Each record extension is one block
+    of same-kind steps from a, so a degree counts the runs of some path
+    from mu and is never below the fewest alternating blocks, the nesting
+    degree.  That first discovery in this order gives the fewest, so that
+    on the maps from alpha the degrees equal len(phi), is checked, not
+    proved: on every permutation with n <= 7 and on n = 22 inputs, on the
+    breadth-first maps and on the raw steppers, against _label_lengths,
+    oracle_routes._alternation_masks and oracle_routes.fixpoint_degrees.
+    A degree off from len(phi) makes cmd_verify fail; none can make it
+    pass falsely.  Every state the walk meets is a key, mu and nu
+    included: for (alpha, omega), every vertex.
 
     >>> u_next, d_next, _, _ = _closure(0, *_mask_steppers(Permutation((2, 3, 1))), 8)
-    >>> sorted(_subcycle_walk(u_next.get, d_next.get, 0, 0b111))
-    [0, 1, 3, 5, 7]
+    >>> sorted(_subcycle_walk(u_next.get, d_next.get, 0, 0b111).items())
+    [(0, 0), (1, 1), (3, 1), (5, 2), (7, 1)]
     >>> print(_subcycle_walk(u_next.get, {**d_next, 0b011: 0}.get, 0, 0b111))
     None
     >>> _subcycle_walk(u_next.get, d_next.get, 0b011, 0b011)  # (s, s): no step
-    {3}
+    {3: 0}
     """
     sides = ((u_succ, {}), (d_succ, {}))
-    verts = {mu, nu}
-    stack = [(0, (mu,), nu), (1, (nu,), mu)]
-    while stack:
-        side, sources, b = stack.pop()
+    deg = {mu: 0}
+    # the U root runs first and reaches nu, giving it a degree before the
+    # D root reads it
+    queue = deque([(0, (mu,), nu), (1, (nu,), mu)])
+    while queue:
+        side, sources, b = queue.popleft()
         succ, records = sides[side]
         for a in sources:
             states = records.get(a)
@@ -371,19 +435,20 @@ def _subcycle_walk(u_succ: Step, d_succ: Step, mu, nu) -> set | None:
                 continue
             p = len(states)
             cur = states[-1]
+            d = deg[a] + 1
             while (cur := succ(cur)) is not None and cur not in states:
                 states.append(cur)
+                if cur not in deg:
+                    deg[cur] = d
                 if cur == b:
                     break
             else:
                 return None
-            # the last state is b: the pair being checked, added already and
-            # not pushed, so an extension by b alone pushes no entry
+            # the last state is b: the pair being checked, met already and
+            # not queued, so an extension by b alone queues no entry
             if len(states) - p > 1:
-                new = states[p:-1]
-                verts.update(new)
-                stack.append((1 - side, new, a))
-    return verts
+                queue.append((1 - side, states[p:-1], a))
+    return deg
 
 
 def verify_lrpm(
@@ -424,21 +489,29 @@ def _apply_n(step: Step[int], m: int, times: int) -> int:
     return m
 
 
+def _merge_top(rho: Permutation, u_step: Step[int], d_step: Step[int]) -> bool:
+    """merge_identity_top on the mask steppers of rho."""
+    n = rho.n
+    k = rho.position_of(n)
+    below = _apply_n(u_step, 0, n - 1)
+    return _apply_n(d_step, below, k - 1) == _apply_n(d_step, _apply_n(u_step, below, 1), k)
+
+
+def _merge_bottom(rho: Permutation, u_step: Step[int], d_step: Step[int]) -> bool:
+    """merge_identity_bottom on the mask steppers of rho."""
+    n = rho.n
+    q = rho.values[-1]
+    above = _apply_n(d_step, (1 << n) - 1, n - 1)
+    return _apply_n(u_step, above, q - 1) == _apply_n(u_step, _apply_n(d_step, above, 1), q)
+
+
 def merge_identity_top(rho: Permutation) -> bool:
     """D^{k-1} U^{n-1} alpha equals D^k U^n alpha, where rho_k = n.  The
     U-chain is walked once: U^n alpha is one more step from U^{n-1} alpha."""
-    n = rho.n
-    k = rho.position_of(n)
-    u_step, d_step = _mask_steppers(rho)
-    below = _apply_n(u_step, 0, n - 1)
-    return _apply_n(d_step, below, k - 1) == _apply_n(d_step, _apply_n(u_step, below, 1), k)
+    return _merge_top(rho, *_mask_steppers(rho))
 
 
 def merge_identity_bottom(rho: Permutation) -> bool:
     """U^{q-1} D^{n-1} omega equals U^q D^n omega, where q = rho_n.  The
     D-chain is walked once: D^n omega is one more step from D^{n-1} omega."""
-    n = rho.n
-    q = rho.values[-1]
-    u_step, d_step = _mask_steppers(rho)
-    above = _apply_n(d_step, (1 << n) - 1, n - 1)
-    return _apply_n(u_step, above, q - 1) == _apply_n(u_step, _apply_n(d_step, above, 1), q)
+    return _merge_bottom(rho, *_mask_steppers(rho))

@@ -9,8 +9,9 @@ Production route first:
   the recursive definition over `cycle_of`, `check_absorption` and the
   orbits `u_orbit` and `d_orbit`;
 - `_loop_closure`, the loop `build_forward` copies: `loop_vertices`, the
-  union of sub-cycle boundaries, and `decompose`, the two loops and two
-  edges labeled n that `build_forward` joins last;
+  states the major sub-cycle walk meets (the union of sub-cycle
+  boundaries), and `decompose`, the two loops and two edges labeled n
+  that `build_forward` joins last;
 - an edge label as the one bit two masks differ in: `edge_label`, with
   `LabeledEdge` and `EdgeKind` as the steps of oracle paths;
 - `phi_all`, one breadth-first pass: `shortest_path` and
@@ -18,8 +19,11 @@ Production route first:
 - `Staircase.encode` as a validator: `increasing_subsequence`; as the
   inverse of phi: `phi_inverse` (the table of `phi_all`) and
   `phi_inverse_constructive` (the walk from alpha);
-- `nesting_degree`, the length of phi: `nesting_degree_oracle` over
-  `alternation_degrees`, a fewest-blocks search with no shortest paths.
+- `nesting_degree`, the length of phi, and the degrees of the major
+  sub-cycle walk that `cmd_verify` compares with it: `nesting_degree_oracle`
+  over `alternation_degrees` (`_alternation_masks` on masks), a
+  fewest-blocks search with no shortest paths, and `fixpoint_degrees`,
+  the walk's degrees in an order-free form.
 
 Builder agreement is a theorem between the two production builders, so
 both stay in `graph`.  `oracles` holds the references on `core` alone.
@@ -32,7 +36,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import groupby
 
-from .bijection import _alternation_masks, _rejection, phi_all
+from .bijection import _rejection, phi_all
 from .core import Permutation, SpinConfig, SpinIndex, alpha, i_minus, i_plus
 from .graph import (
     DEFAULT_MAX_VERTICES,
@@ -40,7 +44,9 @@ from .graph import (
     S,
     Step,
     UniquenessViolation,
+    VertexBudgetExceeded,
     _apply_n,
+    _mask_steppers,
     _subcycle_walk,
 )
 
@@ -66,6 +72,7 @@ __all__ = [
     "phi_inverse_constructive",
     "alternation_degrees",
     "nesting_degree_oracle",
+    "fixpoint_degrees",
 ]
 
 
@@ -208,10 +215,10 @@ def loop_vertices(rho: Permutation, c: Cycle) -> set[SpinConfig]:
     states of major sub-cycles.  Requires the cycle to be absorbing."""
     if not check_absorption(rho, c):
         raise ValueError("not absorbing")
-    verts = _subcycle_walk(*_map_steppers(rho), c.mu, c.nu)
-    if verts is None:
+    degrees = _subcycle_walk(*_map_steppers(rho), c.mu, c.nu)
+    if degrees is None:
         raise RuntimeError("cycle structure violated inside a loop")
-    return verts
+    return set(degrees)
 
 
 def decompose(
@@ -378,11 +385,52 @@ def phi_inverse_constructive(rho: Permutation, values) -> SpinConfig:
     return cur
 
 
+def _alternation_masks(
+    rho: Permutation, max_vertices: int = DEFAULT_MAX_VERTICES
+) -> dict[int, int]:
+    """Minimal alternating-block count for every configuration reachable
+    from alpha, keyed by vertex mask, found level by level over raw map
+    applications.
+
+    Level 0 is alpha, entered as if by a D-step: it has no D-successor, so
+    its first U-step opens the first block.  Level d+1 holds the states one
+    more block away: from each state of level d, step once in the other
+    kind, then keep stepping in that kind until reaching a state already
+    entered.  Every state of a level is entered by the same kind, U on odd
+    levels and D on even ones, and its degree is the level that enters it.
+    A state is entered once, by either kind: if the first entry is at level
+    e, a later one is at a level of the other kind, so at least e + 1, and
+    each of its two steps is already taken from level e at no more cost.
+    Independent of the graph builders and of the shortest-path machinery.
+
+    >>> sorted(_alternation_masks(Permutation((2, 3, 1))).items())
+    [(0, 0), (1, 1), (3, 1), (5, 2), (7, 1)]
+    """
+    u_step, d_step = _mask_steppers(rho)
+    best = {0: 0}
+    level = [0]
+    d = 0
+    while level:
+        d += 1
+        step = u_step if d & 1 else d_step
+        nxt = []
+        for m in level:
+            while (m := step(m)) is not None and m not in best:
+                if len(best) + 1 > max_vertices:
+                    raise VertexBudgetExceeded(
+                        f"vertex budget exceeded: more than {max_vertices} configurations"
+                    )
+                best[m] = d
+                nxt.append(m)
+        level = nxt
+    return best
+
+
 def alternation_degrees(
     rho: Permutation, max_vertices: int = DEFAULT_MAX_VERTICES
 ) -> dict[SpinConfig, int]:
     """Minimal alternating-block count for every reachable configuration
-    (see bijection._alternation_masks)."""
+    (see _alternation_masks)."""
     degrees = _alternation_masks(rho, max_vertices)
     return {SpinConfig._unchecked(rho.n, m): d for m, d in degrees.items()}
 
@@ -395,3 +443,55 @@ def nesting_degree_oracle(
     if sigma not in best:
         raise ValueError(f"unreachable: {sigma.spins}")
     return best[sigma]
+
+
+def fixpoint_degrees(u_step: Step[S], d_step: Step[S], mu: S, nu: S) -> dict[S, int] | None:
+    """The degrees of the major sub-cycle walk from (mu, nu), in a form
+    free of its order: over every reached pair (m, v), each state of its
+    U-boundary other than m is at most one more than m, and each state of
+    its D-boundary other than v at most one more than v.  Relaxing these
+    bounds from deg(mu) = 0, in any order, until none lowers a degree
+    reaches one fixpoint: the fewest bound steps from mu to each state.
+    None if some reached pair is not a cycle.
+
+    The pairs are found as cycle_of finds them, each boundary walked whole
+    by _chain, and the bounds are relaxed in sweeps, so neither the walk's
+    records nor its queue enter.  The boundaries met from one end are
+    prefixes of one orbit, so each end keeps only its longest.  An orbit
+    that cycles is not caught, as in check_lrpm.  The oracle of
+    _subcycle_walk's degrees.
+
+    >>> from preisach.graph import _closure
+    >>> u_next, d_next, _, _ = _closure(0, *_mask_steppers(Permutation((2, 3, 1))), 8)
+    >>> sorted(fixpoint_degrees(u_next.get, d_next.get, 0, 0b111).items())
+    [(0, 0), (1, 1), (3, 1), (5, 2), (7, 1)]
+    """
+    longest: tuple[dict, dict] = ({}, {})
+    seen = {(mu, nu)}
+    todo = [(mu, nu)]
+    while todo:
+        m, v = todo.pop()
+        ub = _chain(u_step, m, v)
+        db = None if ub is None else _chain(d_step, v, m)
+        if db is None:
+            return None
+        for ends, a, boundary in ((longest[0], m, ub), (longest[1], v, db)):
+            if len(boundary) > len(ends.get(a, ())):
+                ends[a] = boundary
+        for pair in [(m, u) for u in ub] + [(w, v) for w in db]:
+            if pair not in seen:
+                seen.add(pair)
+                todo.append(pair)
+    deg = {mu: 0}
+    changed = True
+    while changed:
+        changed = False
+        for ends in longest:
+            for a, boundary in ends.items():
+                if a in deg:
+                    d = deg[a] + 1
+                    for s in boundary[1:]:
+                        if deg.get(s, d + 1) > d:
+                            deg[s] = d
+                            changed = True
+    return deg

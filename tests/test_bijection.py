@@ -27,7 +27,6 @@ from preisach import (
     phi,
     phi_all,
 )
-from preisach.bijection import _alternation_masks
 from preisach.cli import random_permutation
 from preisach.graph import (
     DEFAULT_MAX_VERTICES,
@@ -39,6 +38,7 @@ from preisach.graph import (
 from preisach.oracle_routes import (
     EdgeKind,
     Path,
+    _alternation_masks,
     _edges_to,
     alternation_degrees,
     block_decomposition,

@@ -303,45 +303,61 @@ def test_cmd_verify_five_spins():
     assert report.passed() and report.lis == 3
 
 
-def test_cmd_verify_checks_phi_lengths_against_alternation_oracle(monkeypatch):
-    real = preisach.cli._alternation_masks
+def test_cmd_verify_checks_phi_lengths_against_the_walk_degrees(monkeypatch):
+    # the walk's degree of omega raised by one: every label still encodes
+    # its vertex, but one length no longer equals its nesting degree
+    real = preisach.cli._subcycle_walk
 
-    def off_by_one(rho, max_vertices):
-        degrees = real(rho, max_vertices)
-        degrees[(1 << rho.n) - 1] += 1
+    def off_by_one(u_succ, d_succ, mu, nu):
+        degrees = real(u_succ, d_succ, mu, nu)
+        degrees[nu] += 1
         return degrees
 
-    monkeypatch.setattr(preisach.cli, "_alternation_masks", off_by_one)
+    monkeypatch.setattr(preisach.cli, "_subcycle_walk", off_by_one)
     report = cmd_verify(RHO231)
+    assert report.lrpm_ok and report.builders_agree
     assert not report.bijection_ok and not report.passed()
 
 
+def _forge_maps(monkeypatch, edit):
+    """Make cmd_verify see the breadth-first D-successor map of (2, 3, 1)
+    with the entries of edit, mask to mask, put in."""
+    real = preisach.cli._closure
+
+    def forged(start, u_step, d_step, max_vertices):
+        u_next, d_next, first, rest = real(start, u_step, d_step, max_vertices)
+        return u_next, {**d_next, **edit}, first, rest
+
+    monkeypatch.setattr(preisach.cli, "_closure", forged)
+
+
 def test_cmd_verify_checks_builder_agreement_on_masks(monkeypatch):
-    # the forward builder's D-edge of ++- (mask 3) redirected from +-- to ---
-    real = preisach.cli.build_forward
-
-    def redirected(rho, max_vertices):
-        g = real(rho, max_vertices)
-        assert g.d_next[0b011] == 0b001
-        return PreisachGraph(rho, g.u_next, {**g.d_next, 0b011: 0b000})
-
-    monkeypatch.setattr(preisach.cli, "build_forward", redirected)
+    # the D-edge of ++- (mask 3) redirected from +-- to ---
+    assert build_bfs(RHO231).d_next[0b011] == 0b001
+    _forge_maps(monkeypatch, {0b011: 0b000})
     report = cmd_verify(RHO231)
+    assert not report.builders_agree and not report.passed()
+
+
+def test_cmd_verify_checks_builder_agreement_on_an_extra_entry(monkeypatch):
+    # a D-edge out of -+-, which is no vertex: the walk, the labels and the
+    # vertex count never meet it, so only builder agreement fails
+    assert SpinConfig((-1, 1, -1)) not in build_bfs(RHO231)
+    _forge_maps(monkeypatch, {0b010: 0b000})
+    report = cmd_verify(RHO231)
+    assert report.edge_count == 9
+    assert report.cardinality_ok and report.bijection_ok and report.lrpm_ok
     assert not report.builders_agree and not report.passed()
 
 
 def test_cmd_verify_checks_lrpm_on_masks(monkeypatch):
     # the same forgery as test_verify_lrpm_rejects_forged_graph, on the
-    # breadth-first maps: (alpha, omega) is a cycle, (+--, ++-) is not
-    real = preisach.cli._closure
-
-    def forged(start, u_step, d_step, max_vertices):
-        u_next, d_next, first, rest = real(start, u_step, d_step, max_vertices)
-        return u_next, {**d_next, 0b011: 0b000}, first, rest
-
-    monkeypatch.setattr(preisach.cli, "_closure", forged)
+    # breadth-first maps: (alpha, omega) is a cycle, (+--, ++-) is not; the
+    # walk that fails gives no degrees, so the bijection check fails too
+    _forge_maps(monkeypatch, {0b011: 0b000})
     report = cmd_verify(RHO231)
     assert not report.lrpm_ok and not report.passed()
+    assert not report.bijection_ok
 
 
 def _forge_labels(monkeypatch, relabel):
@@ -385,10 +401,9 @@ def test_cmd_verify_rejects_a_label_that_is_no_subsequence(monkeypatch, label):
 
 
 def test_cmd_verify_peak_memory_per_vertex():
-    # each structure is dropped once its checks are done: identity n=14
-    # (16,384 vertices) peaks at 367 B per vertex under tracemalloc, run
-    # after run; 403 if the phi lengths outlive their comparison, 439 if
-    # the cons cells do, 498 with label tuples kept to the end
+    # identity n=14 (16,384 vertices) peaks at 373 B per vertex under
+    # tracemalloc, run after run, in the sub-cycle walk; 445 if the cons
+    # cells outlive their check
     rho = make_permutation(range(1, 15))
     tracemalloc.start()
     try:
@@ -770,6 +785,76 @@ def _codec_answer(command, value, n, labels):
     if label is None:
         return None
     return (",".join(map(str, label)) or "()") if command == "phi" else str(len(label))
+
+
+def _library_outcome(call):
+    """The exit code main gives for the outcome of a library call, and its
+    result: 0 and the result, or 2 for ValueError and 3 for
+    VertexBudgetExceeded, with None."""
+    try:
+        return 0, call()
+    except VertexBudgetExceeded:
+        return 3, None
+    except ValueError:
+        return 2, None
+
+
+_NOT_INTS = ["x", "2.0", "0x1", ""]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(["verify-all", "stats"]),
+    st.one_of(st.integers(-2, 5), st.sampled_from([9, 12] + _NOT_INTS)),
+    st.one_of(st.integers(-2, 4), st.sampled_from(_NOT_INTS)),
+    st.one_of(st.none(), st.integers(-(1 << 65), 1 << 65), st.sampled_from(_NOT_INTS)),
+    st.one_of(st.none(), st.integers(-2, 40), st.sampled_from(_NOT_INTS)),
+)
+def test_cli_verify_all_and_stats_on_generated_argv(command, n, samples, seed, budget):
+    # a value that is no integer exits 2 from the parser; otherwise the exit
+    # code is the outcome of cmd_verify_all or cmd_stats on the same values
+    # (2 for a bad n or sample count, 3 for a budget below 1 or, for
+    # verify-all, below 2^n) and exit 0 prints exactly its summary; the
+    # code is always 0, 1, 2 or 3 and no exception leaves main
+    argv = [command, f"--n={n}"]
+    given_values = [n]
+    if command == "stats":
+        argv.append(f"--samples={samples}")
+        given_values.append(samples)
+        if seed is not None:
+            argv.append(f"--seed={seed}")
+            given_values.append(seed)
+    if budget is not None:
+        argv.append(f"--max-vertices={budget}")
+        given_values.append(budget)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3), argv
+    if any(type(v) is str for v in given_values):
+        assert code == 2 and out == "" and "invalid int value" in err, argv
+        return
+    budget = DEFAULT_MAX_VERTICES if budget is None else budget
+    if command == "verify-all":
+        expected, summary = _library_outcome(lambda: cmd_verify_all(n, budget))
+        if summary is not None:
+            assert not summary.failures
+            shown = f"n={n}\npermutations={summary.checked}\nfailures=0\n"
+    else:
+        seed = 0 if seed is None else seed
+        expected, report = _library_outcome(lambda: cmd_stats(n, samples, seed, budget))
+        if report is not None:
+            shown = (
+                f"n={n}\nsamples={samples}\nseed={seed}\n"
+                f"lis_mean={report.lis_mean:.6f}\nlis_stddev={report.lis_stddev:.6f}\n"
+                f"nesting_checked={report.nesting_checked}\n"
+            )
+    assert code == expected, argv
+    if code:
+        assert out == "" and err.startswith("error: "), argv
+    else:
+        assert (out, err) == (shown, ""), argv
 
 
 def test_cli_takes_the_sign_string_of_two_down_spins(capsys):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import itertools
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -35,7 +37,9 @@ from preisach.cli import export_dot, export_json, random_permutation
 from preisach.graph import (
     _apply_n,
     _closure,
+    _forward_agrees,
     _forward_maps,
+    _label_lengths,
     _labels,
     _loop_closure,
     _mask_steppers,
@@ -44,12 +48,15 @@ from preisach.graph import (
 from preisach.oracle_routes import (
     Cycle,
     EdgeKind,
+    _alternation_masks,
+    _map_steppers,
     check_absorption,
     check_lrpm,
     cycle_of,
     d_orbit,
     decompose,
     edge_label,
+    fixpoint_degrees,
     loop_vertices,
     u_orbit,
 )
@@ -177,6 +184,61 @@ def test_build_forward_matches_bfs_wide(index):
     g = build_bfs(rho)
     assert build_forward(rho) == g
     assert verify_lrpm(g)
+
+
+def _closure_maps(rho):
+    """The U- and D-successor maps of the breadth-first pass over rho."""
+    return _closure(0, *_mask_steppers(rho), count_increasing(rho))[:2]
+
+
+def test_forward_agrees_is_the_forward_comparison_exhaustive_small():
+    for n in range(1, 8):
+        for values in permutations(range(1, n + 1)):
+            rho = make_permutation(values)
+            u_next, d_next = _closure_maps(rho)
+            agrees = _forward_agrees(rho, u_next, d_next)
+            assert agrees == (_forward_maps(rho) == (u_next, d_next)), values
+            assert agrees, values
+
+
+def test_forward_agrees_rejects_every_redirected_edge():
+    # every U- or D-edge sent to each other vertex, for n <= 5
+    rejected = 0
+    for n in range(1, 6):
+        for values in permutations(range(1, n + 1)):
+            rho = make_permutation(values)
+            maps = _closure_maps(rho)
+            vertices = [*maps[0], (1 << n) - 1]
+            for kind in (0, 1):
+                for src, old in maps[kind].items():
+                    for dst in vertices:
+                        if dst != old:
+                            forged = list(maps)
+                            forged[kind] = {**maps[kind], src: dst}
+                            assert not _forward_agrees(rho, *forged), (values, kind, src, dst)
+                            rejected += 1
+    assert rejected > 40_000
+
+
+def test_forward_agrees_rejects_a_dropped_or_an_extra_entry():
+    for n in range(1, 6):
+        for values in permutations(range(1, n + 1)):
+            rho = make_permutation(values)
+            maps = _closure_maps(rho)
+            full = (1 << n) - 1
+            for kind in (0, 1):
+                for src in maps[kind]:
+                    dropped = list(maps)
+                    dropped[kind] = {k: v for k, v in maps[kind].items() if k != src}
+                    assert not _forward_agrees(rho, *dropped), (values, kind, src)
+                # a U-edge out of omega, a D-edge out of alpha, and an edge
+                # of either kind out of every mask that is no vertex
+                sources = [full if kind == 0 else 0]
+                sources += [m for m in range(1 << n) if m not in maps[0] and m != full]
+                for src in sources:
+                    extra = list(maps)
+                    extra[kind] = {**maps[kind], src: src ^ 1}
+                    assert not _forward_agrees(rho, *extra), (values, kind, src)
 
 
 def test_mask_steppers_match_maps():
@@ -372,10 +434,15 @@ def _forgeries(g, edits):
         yield replace(g, **fields)
 
 
+def _walk_keys(walk):
+    """The states a _subcycle_walk result holds degrees for, or None."""
+    return None if walk is None else set(walk)
+
+
 def test_verify_lrpm_on_every_single_edge_forgery():
-    # verify_lrpm against the recursive definition, and the walk's union
-    # against the recursive union: from (alpha, omega) for n <= 4 and from
-    # every pair of vertices for n <= 3
+    # verify_lrpm against the recursive definition, and the states the walk
+    # gives degrees to against the recursive union: from (alpha, omega) for
+    # n <= 4 and from every pair of vertices for n <= 3
     outcomes = set()
     for n in range(1, 5):
         for values in permutations(range(1, n + 1)):
@@ -389,7 +456,8 @@ def test_verify_lrpm_on_every_single_edge_forgery():
                 pairs = product(g.canonical_masks(), repeat=2) if n <= 3 else [ends]
                 for mu, nu in pairs:
                     walk = _subcycle_walk(forged.u_next.get, forged.d_next.get, mu, nu)
-                    assert walk == _recursive_walk(forged, mu, nu), (values, forged, mu, nu)
+                    expected = _recursive_walk(forged, mu, nu)
+                    assert _walk_keys(walk) == expected, (values, forged, mu, nu)
     assert outcomes == {True, False}
 
 
@@ -405,7 +473,7 @@ def test_verify_lrpm_on_every_two_edge_forgery():
                 assert got == (expected is not None), (values, forged)
                 outcomes.add(got)
                 walk = _subcycle_walk(forged.u_next.get, forged.d_next.get, *ends)
-                assert walk == expected, (values, forged)
+                assert _walk_keys(walk) == expected, (values, forged)
     assert outcomes == {True, False}
 
 
@@ -438,6 +506,63 @@ def test_subcycle_walk_steps_twice_per_reached_pair():
                 assert steps == 2 * sum(m != v for m, v in reached), (values, mu, nu)
                 walked += 1
     assert walked > 600
+
+
+def _verify_random_inputs(seed, count):
+    """The first count inputs of the benchmark's verify-random workload:
+    n=22 permutations drawn by random.Random(seed), taken in turn from four
+    bands of vertex count, 128-511, 512-1023, 1024-2047 and 2560-3072."""
+    rng = random.Random(seed)
+    bands = itertools.cycle(((128, 511), (512, 1023), (1024, 2047), (2560, 3072)))
+    rhos = []
+    for lo, hi in itertools.islice(bands, count):
+        rho = make_permutation(rng.sample(range(1, 23), 22))
+        while not lo <= count_increasing(rho) <= hi:
+            rho = make_permutation(rng.sample(range(1, 23), 22))
+        rhos.append(rho)
+    return rhos
+
+
+def _assert_walk_degrees_are_nesting_degrees(rho):
+    """The walk from (alpha, omega), on the breadth-first maps and on the raw
+    steppers, gives every vertex len(phi) as its degree, which the
+    alternation search and the order-free fixpoint give too."""
+    steps = _mask_steppers(rho)
+    u_next, d_next, _, rest = _closure(0, *steps, count_increasing(rho))
+    lengths = _label_lengths(rest)
+    ends = (0, (1 << rho.n) - 1)
+    assert _subcycle_walk(u_next.get, d_next.get, *ends) == lengths, rho.values
+    assert _subcycle_walk(*steps, *ends) == lengths, rho.values
+    assert _alternation_masks(rho) == lengths, rho.values
+    assert fixpoint_degrees(u_next.get, d_next.get, *ends) == lengths, rho.values
+
+
+def test_walk_degrees_are_nesting_degrees_exhaustive_small():
+    for n in range(1, 8):
+        for values in permutations(range(1, n + 1)):
+            _assert_walk_degrees_are_nesting_degrees(make_permutation(values))
+
+
+@pytest.mark.parametrize("part", range(4))
+def test_walk_degrees_are_nesting_degrees_wide(part):
+    for rho in _verify_random_inputs(1, 64)[part::4]:
+        _assert_walk_degrees_are_nesting_degrees(rho)
+
+
+def test_walk_degrees_are_depths_from_every_pair():
+    # from any pair of vertices the walk and the fixpoint agree, on maps
+    # and on configurations, or both find a pair that is not a cycle
+    for n in range(1, 5):
+        for values in permutations(range(1, n + 1)):
+            rho = make_permutation(values)
+            g = build_bfs(rho)
+            for mu, nu in product(g.canonical_masks(), repeat=2):
+                walk = _subcycle_walk(g.u_next.get, g.d_next.get, mu, nu)
+                assert walk == fixpoint_degrees(g.u_next.get, g.d_next.get, mu, nu)
+                views = _subcycle_walk(*_map_steppers(rho), g.config(mu), g.config(nu))
+                if views is not None:
+                    views = {v.mask: d for v, d in views.items()}
+                assert views == walk, (values, mu, nu)
 
 
 def test_verify_lrpm_rejects_edge_out_of_the_graph():
@@ -533,10 +658,10 @@ def _forward_steps(rho):
 
 
 def _assert_closure_is_walk(u_next, d_next, bottom, top):
-    """_loop_closure equals the major sub-cycle walk over the same maps,
-    the set loop_vertices returns; returns that set."""
+    """_loop_closure equals the states the major sub-cycle walk over the
+    same maps meets, the set loop_vertices returns; returns that set."""
     loop = _loop_closure(u_next, d_next, bottom, top)
-    assert loop == _subcycle_walk(u_next.get, d_next.get, bottom, top)
+    assert loop == _walk_keys(_subcycle_walk(u_next.get, d_next.get, bottom, top))
     return loop
 
 
