@@ -21,6 +21,7 @@ from .graph import (
     DEFAULT_MAX_VERTICES,
     PreisachGraph,
     VertexBudgetExceeded,
+    _SIGNS,
     _charge,
     _closure,
     _forward_agrees,
@@ -67,6 +68,17 @@ def _integers(text: str) -> list[int]:
     return list(map(int, tokens))
 
 
+def _int_option(text: str) -> int:
+    """The value of an integer option: one plain ASCII integer, read as
+    _integers reads a value.  Anything else is reported in the words
+    argparse uses for type=int."""
+    try:
+        [value] = _integers(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    return value
+
+
 def parse_permutation(text: str) -> Permutation:
     """Parse comma- or whitespace-separated values: "2,3,1" or "2 3 1".
     An empty field ("2,,3", ",2" or "2,") or a value that is not a plain
@@ -74,9 +86,9 @@ def parse_permutation(text: str) -> Permutation:
     return make_permutation(_integers(text))
 
 
-# sign strings to the spins' bits, '+' up and '-' down, and back
+# sign strings to the spins' bits, '+' up and '-' down (graph._SIGNS
+# goes back)
 _BITS = str.maketrans("+-", "10")
-_SIGNS = str.maketrans("10", "+-")
 _NO_SIGNS = str.maketrans("", "", "+-")
 
 
@@ -106,33 +118,28 @@ def format_config(sigma: SpinConfig) -> str:
     return _format_mask(sigma.mask, sigma.n)
 
 
-def _export_rows(g: PreisachGraph) -> tuple[list[str], list[tuple[str, str, str, int]]]:
-    """The sign strings of the vertices in canonical order, and per vertex
-    its U-edge then its D-edge as (from, to, kind, label).  A label is the
-    one bit the two vertex masks differ in.  Each mask is formatted once:
-    its spin string is both its sort key and, as signs, its name."""
-    name = {m: bits.translate(_SIGNS) for m, bits in g._canonical_bits()}
-    u_next, d_next = g.u_next, g.d_next
-    rows = []
-    for v, s in name.items():
-        if (t := u_next.get(v)) is not None:
-            rows.append((s, name[t], "U", (v ^ t).bit_length()))
-        if (t := d_next.get(v)) is not None:
-            rows.append((s, name[t], "D", (v ^ t).bit_length()))
-    return list(name.values()), rows
-
-
 def export_dot(g: PreisachGraph) -> str:
     """DOT digraph: sign-string node names, U-edges black, D-edges red,
-    each labeled with the flipped spin; canonical order throughout."""
-    names, rows = _export_rows(g)
+    each labeled with the flipped spin; canonical order throughout, each
+    vertex's U-edge before its D-edge.  A label is the one bit the two
+    vertex masks differ in."""
+    order, name = g._canonical_names()
+    u_next, d_next = g.u_next, g.d_next
     lines = ["digraph preisach {"]
-    lines += [f'  "{s}";' for s in names]
-    for s, d, kind, label in rows:
-        color = "black" if kind == "U" else "red"
-        lines.append(f'  "{s}" -> "{d}" [color={color}, label={label}];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines += [f'  "{name[v]}";' for v in order]
+    append = lines.append
+    for v in order:
+        if (t := u_next.get(v)) is not None:
+            append(
+                f'  "{name[v]}" -> "{name[t]}" [color=black, label={(v ^ t).bit_length()}];'
+            )
+        if (t := d_next.get(v)) is not None:
+            append(f'  "{name[v]}" -> "{name[t]}" [color=red, label={(v ^ t).bit_length()}];')
+    # the text ends with a newline without a second copy, and the names go
+    # before the join
+    lines += ["}", ""]
+    del order, name
+    return "\n".join(lines)
 
 
 def export_json(g: PreisachGraph) -> str:
@@ -141,13 +148,29 @@ def export_json(g: PreisachGraph) -> str:
     The text is written directly, with no per-edge objects, and is byte for
     byte what json.dumps(payload, separators=(",", ":")) gives: names are
     '+' and '-' only, kinds are "U" and "D", and n, perm and the labels are
-    ints, so nothing needs escaping."""
-    names, rows = _export_rows(g)
+    ints, so nothing needs escaping.  Edges are listed as export_dot lists
+    them."""
+    order, name = g._canonical_names()
+    u_next, d_next = g.u_next, g.d_next
+    vertices = ",".join([f'"{name[v]}"' for v in order])
+    edges = []
+    append = edges.append
+    for v in order:
+        if (t := u_next.get(v)) is not None:
+            append(
+                f'{{"from":"{name[v]}","to":"{name[t]}","kind":"U",'
+                f'"label":{(v ^ t).bit_length()}}}'
+            )
+        if (t := d_next.get(v)) is not None:
+            append(
+                f'{{"from":"{name[v]}","to":"{name[t]}","kind":"D",'
+                f'"label":{(v ^ t).bit_length()}}}'
+            )
+    # the names go before the join, and the edge list (append holds it
+    # too) with it, so no part of the text is held more than twice
+    del order, name, append
+    edges = ",".join(edges)
     perm = ",".join(map(str, g.perm.values))
-    vertices = ",".join([f'"{s}"' for s in names])
-    edges = ",".join(
-        [f'{{"from":"{s}","to":"{d}","kind":"{k}","label":{label}}}' for s, d, k, label in rows]
-    )
     return f'{{"n":{g.n},"perm":[{perm}],"vertices":[{vertices}],"edges":[{edges}]}}'
 
 
@@ -176,7 +199,13 @@ def load_json(text: str) -> PreisachGraph:
         for key in ("vertices", "edges"):
             if type(payload[key]) is not list:
                 raise ValueError(f"malformed graph JSON: {key} is not an array")
-        mask_of = {s: _parse_mask(s, n) for s in payload["vertices"]}
+        names = payload["vertices"]
+        # _parse_mask inline: it runs only on the first name that fails one
+        # of its tests, to raise its own error
+        for s in names:
+            if type(s) is not str or len(s) != n or s.translate(_NO_SIGNS):
+                _parse_mask(s, n)
+        mask_of = {s: int(s[::-1].translate(_BITS), 2) for s in names}
         # the transition test per kind, as src & scope[label] == want[label]
         # with bit = 2**(label-1): U raises spin label iff it is the lowest
         # down spin (omega has none), so the spins below it are up and it is
@@ -217,25 +246,22 @@ def load_json(text: str) -> PreisachGraph:
                     f"not the {kind}-transition of perm"
                 )
             edges[src] = dst
-        if len(mask_of) != len(payload["vertices"]):
+        if len(mask_of) != len(names):
             raise ValueError("a vertex is listed twice")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed graph JSON: {exc!r}") from None
-    vertices = set(mask_of.values())
-    if 0 not in vertices or (1 << n) - 1 not in vertices:
+    # a name is its mask's n signs, so names and masks are one to one
+    listed = len(mask_of)
+    if "-" * n not in mask_of or "+" * n not in mask_of:
         raise ValueError("alpha or omega is not a listed vertex")
     # every source is a listed vertex, omega has no U-edge and alpha no
     # D-edge, so a short count means some listed vertex lacks its edge
     for kind, edges in (("U", u_next), ("D", d_next)):
-        if len(edges) < len(vertices) - 1:
-            raise ValueError(
-                f"{len(vertices) - 1 - len(edges)} listed vertices lack a {kind}-edge"
-            )
+        if len(edges) < listed - 1:
+            raise ValueError(f"{listed - 1 - len(edges)} listed vertices lack a {kind}-edge")
     count = count_increasing(rho)
-    if len(vertices) != count:
-        raise ValueError(
-            f"{len(vertices)} vertices listed, perm has {count} increasing subsequences"
-        )
+    if listed != count:
+        raise ValueError(f"{listed} vertices listed, perm has {count} increasing subsequences")
     return PreisachGraph(rho, u_next, d_next)
 
 
@@ -593,7 +619,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--perm", required=True, help="permutation, e.g. '2,3,1'")
     sub.add_argument(
         "--max-vertices",
-        type=int,
+        type=_int_option,
         default=DEFAULT_MAX_VERTICES,
         help="vertex budget (default 2^20)",
     )
@@ -650,15 +676,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = subs.add_parser("verify-all", help="verify every permutation of size n")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES)
+    p.add_argument("--n", type=_int_option, required=True)
+    p.add_argument("--max-vertices", type=_int_option, default=DEFAULT_MAX_VERTICES)
     p.set_defaults(func=_cmd_verify_all)
 
     p = subs.add_parser("stats", help="LIS statistics over random permutations")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES)
+    p.add_argument("--n", type=_int_option, required=True)
+    p.add_argument("--samples", type=_int_option, required=True)
+    p.add_argument("--seed", type=_int_option, default=0)
+    p.add_argument("--max-vertices", type=_int_option, default=DEFAULT_MAX_VERTICES)
     p.set_defaults(func=_cmd_stats)
 
     return parser

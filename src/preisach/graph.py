@@ -7,7 +7,9 @@ i-1 set meaning spin i is up, as two successor maps, `u_next` and `d_next`;
 the keys of `u_next` and omega are the vertices.  An edge's label is the
 one bit its two masks differ in; the fixed-point transitions at alpha and
 omega are never stored.  `SpinConfig` is the view at the API boundary:
-`alpha`, `omega`, `vertices` and `sigma in g`.
+`alpha`, `omega`, `vertices` and `sigma in g`.  The exports list the
+vertices in one canonical order, by +1 count and then by spin sequence,
+which `_canonical_names` gives with each vertex's sign string.
 
 Two independent builders are provided.  `build_bfs` closes {alpha} under the
 two maps.  `build_forward` grows one graph of n-spin configurations value by
@@ -61,6 +63,9 @@ __all__ = [
     "merge_identity_top",
     "merge_identity_bottom",
 ]
+
+# A mask's bits, spin 1 first, as a sign string: '+' up, '-' down.
+_SIGNS = str.maketrans("10", "+-")
 
 # The vertex count equals the number of increasing subsequences of the
 # permutation, which reaches 2^n for the identity; budget instead of hanging.
@@ -127,18 +132,29 @@ class PreisachGraph:
             sigma.mask in self.u_next or sigma.mask == (1 << self.n) - 1
         )
 
-    def _canonical_bits(self) -> list[tuple[int, str]]:
-        """(mask, spin string) of every vertex, the string reading spin 1
-        first, '1' up and '0' down; sorted by +1 count, then by that string,
-        so down before up.  The serialization order."""
+    def _canonical_names(self) -> tuple[list[int], dict[int, str]]:
+        """The vertex masks in canonical order, and the name of each: its
+        sign string, reading spin 1 first, '+' up and '-' down, formatted
+        once.  The order is by +1 count, then by spin sequence with down
+        before up: the masks go into buckets by bit count, and each bucket
+        is sorted by name in reverse, since '-' sorts above '+'."""
         n = self.n
-        pairs = [(m, f"{m:0{n}b}"[::-1]) for m in self._masks()]
-        return sorted(pairs, key=lambda p: (p[0].bit_count(), p[1]))
+        # bin() of the mask with bit n set: "0b1" and then its n bits
+        top = 1 << n
+        name = {m: bin(m | top)[:2:-1].translate(_SIGNS) for m in self._masks()}
+        buckets: list[list[int]] = [[] for _ in range(n + 1)]
+        for m in name:
+            buckets[m.bit_count()].append(m)
+        order = []
+        for bucket in buckets:
+            bucket.sort(key=name.__getitem__, reverse=True)
+            order += bucket
+        return order, name
 
     def canonical_masks(self) -> list[int]:
         """Vertex masks sorted by +1 count, then by spin sequence read from
         spin 1 with down before up; the serialization order."""
-        return [m for m, _ in self._canonical_bits()]
+        return self._canonical_names()[0]
 
     def canonical_vertices(self) -> list[SpinConfig]:
         """The configurations of canonical_masks(), in that order."""

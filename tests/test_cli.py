@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import ast
 import hashlib
 import io
@@ -37,6 +38,7 @@ from preisach import (
 from preisach.cli import (
     _closure,
     _mask_steppers,
+    build_parser,
     cmd_stats,
     cmd_verify,
     cmd_verify_all,
@@ -85,6 +87,16 @@ def test_cli_reads_only_plain_ascii_integers(token, capsys):
     ):
         assert main(argv) == 2, argv
         assert capsys.readouterr() == ("", f"error: non-integer token {token!r}\n"), argv
+    # the integer options read a value by the same rule
+    for argv in (
+        ["verify-all", f"--n={token}"],
+        ["stats", "--n=2", f"--samples={token}"],
+        ["stats", "--n=2", "--samples=1", f"--seed={token}"],
+        ["build", "--perm=2,3,1", f"--max-vertices={token}"],
+    ):
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and f"invalid int value: {token!r}\n" in err, argv
     assert main(["lis", "--perm", "2,-1,1"]) == 2
     assert capsys.readouterr().err == "error: value -1 out of range 1..3\n"
 
@@ -154,12 +166,27 @@ def test_export_json_single_spin():
     )
 
 
-def _export_json_oracle(g):
-    """export_json as a dict per edge handed to json.dumps, with the
-    canonical order taken from SpinConfig's own: by +1 count, then by spin
-    sequence with -1 before +1."""
+def _assert_same_text(got, want, context):
+    # one comparison, not pytest's diff of the two texts, which takes
+    # minutes once they are a few hundred vertices long
+    if got != want:
+        i = next(i for i, (a, b) in enumerate(zip(got + "\0", want + "\0")) if a != b)
+        span = slice(max(i - 30, 0), i + 30)
+        pytest.fail(f"{context}: texts differ at character {i}: {got[span]!r} vs {want[span]!r}")
+
+
+def _oracle_names(g):
+    """The sign string of every vertex mask, in the canonical order taken
+    from SpinConfig's own: by +1 count, then by spin sequence with -1
+    before +1."""
     order = sorted(g.vertices, key=lambda sigma: (sigma.count_plus(), sigma))
-    name = {sigma.mask: format_config(sigma) for sigma in order}
+    return {sigma.mask: "".join("+" if s == 1 else "-" for s in sigma.spins) for sigma in order}
+
+
+def _export_json_oracle(g):
+    """export_json as a dict per edge handed to json.dumps, in the order of
+    _oracle_names."""
+    name = _oracle_names(g)
     edges = []
     for v in name:
         for kind, succ in (("U", g.u_next), ("D", g.d_next)):
@@ -181,14 +208,43 @@ def test_export_json_matches_the_json_dumps_oracle_exhaustive_small():
     for n in range(1, 7):
         for values in all_permutations(range(1, n + 1)):
             g = build_bfs(make_permutation(values))
-            assert export_json(g) == _export_json_oracle(g), values
+            _assert_same_text(export_json(g), _export_json_oracle(g), values)
 
 
 @settings(max_examples=40, deadline=None)
 @given(permutations_st(min_n=7, max_n=10))
 def test_export_json_matches_the_json_dumps_oracle(rho):
     g = build_bfs(rho)
-    assert export_json(g) == _export_json_oracle(g)
+    _assert_same_text(export_json(g), _export_json_oracle(g), rho.values)
+
+
+def _export_dot_oracle(g):
+    """export_dot as one line per vertex and then one per edge, in the order
+    of _oracle_names, each vertex's U-edge before its D-edge."""
+    name = _oracle_names(g)
+    lines = ["digraph preisach {"] + [f'  "{s}";' for s in name.values()]
+    for v in name:
+        for color, succ in (("black", g.u_next), ("red", g.d_next)):
+            t = succ.get(v)
+            if t is not None:
+                label = (v ^ t).bit_length()
+                lines.append(f'  "{name[v]}" -> "{name[t]}" [color={color}, label={label}];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def test_export_dot_matches_the_line_oracle_exhaustive_small():
+    for n in range(1, 7):
+        for values in all_permutations(range(1, n + 1)):
+            g = build_bfs(make_permutation(values))
+            _assert_same_text(export_dot(g), _export_dot_oracle(g), values)
+
+
+@settings(max_examples=40, deadline=None)
+@given(permutations_st(min_n=7, max_n=10))
+def test_export_dot_matches_the_line_oracle(rho):
+    g = build_bfs(rho)
+    _assert_same_text(export_dot(g), _export_dot_oracle(g), rho.values)
 
 
 @given(permutations_st(max_n=8))
@@ -415,6 +471,26 @@ def test_cmd_verify_peak_memory_per_vertex():
         tracemalloc.stop()
     assert report.passed() and report.vertex_count == 1 << 14
     assert peak / report.vertex_count < 390
+
+
+@pytest.mark.parametrize("export, bound", [(export_json, 450), (export_dot, 500)])
+def test_export_peak_memory_per_vertex(export, bound):
+    # identity n=14 (16,384 vertices) peaks under tracemalloc at 406 B per
+    # vertex in export_json and 458 in export_dot, run after run; export_json
+    # peaks at 561 if the edge list outlives its join, either export at 514
+    # or 566 if the vertex names do, and export_dot at 580 if its joined
+    # text is copied again to end it with a newline
+    g = build_bfs(make_permutation(range(1, 15)))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        text = export(g)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert text.endswith("}\n" if export is export_dot else "]}")
+    assert peak / (1 << 14) < bound
 
 
 def test_cmd_verify_all_small():
@@ -857,6 +933,92 @@ def test_cli_verify_all_and_stats_on_generated_argv(command, n, samples, seed, b
         assert (out, err) == (shown, ""), argv
 
 
+# every integer option of every subcommand, after the arguments that
+# subcommand needs besides it
+_INT_OPTIONS = {
+    **{
+        (command, "--max-vertices"): ["--perm=2,3,1", *extra]
+        for command, extra in (
+            ("build", []),
+            ("export-dot", []),
+            ("export-json", []),
+            ("phi", ["--vertex=+-+"]),
+            ("phi-inverse", ["--subseq=2,3"]),
+            ("nesting", []),
+            ("verify", []),
+        )
+    },
+    ("verify-all", "--n"): [],
+    ("verify-all", "--max-vertices"): ["--n=2"],
+    ("stats", "--n"): ["--samples=1"],
+    ("stats", "--samples"): ["--n=2"],
+    ("stats", "--seed"): ["--n=2", "--samples=1"],
+    ("stats", "--max-vertices"): ["--n=2", "--samples=1"],
+}
+
+_ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+_FULLWIDTH = str.maketrans("0123456789", "".join(map(chr, range(0xFF10, 0xFF1A))))
+
+
+def test_int_options_cover_every_integer_option_of_the_parser():
+    names = {"--n", "--samples", "--seed", "--max-vertices"}
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    found = {
+        (command, option)
+        for command, sub in subparsers.choices.items()
+        for action in sub._actions
+        for option in action.option_strings
+        if option in names
+    }
+    assert found == set(_INT_OPTIONS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(sorted(_INT_OPTIONS)),
+    st.integers(-(1 << 65), 1 << 65),
+    st.sampled_from(["plain", "padded", "plus", "underscore", "arabic-indic", "fullwidth"]),
+)
+def test_cli_integer_options_take_only_plain_ascii_integers(key, value, spelling):
+    # int() reads all six spellings of value; the options take only the
+    # plain one, with or without blanks around it, as --perm reads a value
+    command, option = key
+    if spelling not in ("plain", "padded"):
+        # -3..6 (0..9 spelled with a plus), so that a parser that took the
+        # value would still end quickly
+        value = value % 10 - 3 * (spelling != "plus")
+    sign, digits = "-" * (value < 0), str(abs(value))
+    token = {
+        "plain": str(value),
+        "padded": f" {value} ",
+        "plus": f"+{value}",
+        "underscore": f"{sign}0_{digits}",
+        "arabic-indic": sign + digits.translate(_ARABIC_INDIC),
+        "fullwidth": sign + digits.translate(_FULLWIDTH),
+    }[spelling]
+    assert int(token) == value
+    argv = [command, *_INT_OPTIONS[key], f"{option}={token}"]
+    if spelling in ("plain", "padded"):
+        args = build_parser().parse_args(argv)
+        assert getattr(args, option[2:].replace("-", "_")) == value, argv
+        return
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code == 2 and out.getvalue() == "", argv
+    assert f"error: argument {option}: invalid int value: {token!r}\n" in err.getvalue(), argv
+
+
+def test_cli_negative_budget_still_exits_3(capsys):
+    assert main(["build", "--perm", "2,3,1", "--max-vertices", "-1"]) == 3
+    assert capsys.readouterr() == ("", "error: vertex budget exceeded: budget is empty\n")
+    assert main(["verify-all", "--n", "2", "--max-vertices", "-1"]) == 3
+    assert main(["stats", "--n", "2", "--samples", "1", "--seed", "-7"]) == 0
+    assert capsys.readouterr().out.startswith("n=2\nsamples=1\nseed=-7\n")
+
+
 def test_cli_takes_the_sign_string_of_two_down_spins(capsys):
     # argparse passes [] for the value of --vertex=--; it is the sign string "--"
     assert main(["phi", "--perm", "2,1", "--vertex=--"]) == 0
@@ -1007,6 +1169,9 @@ def _with_unreachable_vertex() -> str:
         ('{"n":1,"perm":[1],"vertices":["-","+"],"edges":["U"]}', "malformed"),
         ('{"n":1,"perm":[1],"vertices":[1,2],"edges":[]}', "malformed"),
         ('{"n":1,"perm":[1],"vertices":[["-"],["+"]],"edges":[]}', "malformed"),
+        ('{"n":2,"perm":[1,2],"vertices":["--","+"],"edges":[]}', "expected 2 spins, got 1"),
+        ('{"n":2,"perm":[1,2],"vertices":["--","+0"],"edges":[]}', "illegal character '0'"),
+        ('{"n":2,"perm":[1,2],"vertices":["--","+x","-",1],"edges":[]}', "illegal character 'x'"),
         (
             '{"n":2,"perm":[1,2],"vertices":["--"],'
             '"edges":[{"from":"++","to":"--","kind":"U","label":7}]}',
@@ -1124,6 +1289,9 @@ def _with_unreachable_vertex() -> str:
         "edge-not-an-object",
         "vertex-not-a-string",
         "vertex-a-list",
+        "vertex-wrong-length",
+        "vertex-illegal-character",
+        "vertex-first-bad-name",
         "endpoint-not-a-vertex",
         "label-out-of-range",
         "second-edge-of-one-kind",

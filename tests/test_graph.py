@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -858,3 +859,32 @@ def test_canonical_vertex_order():
         (1, 1, -1),
         (1, 1, 1),
     ]
+
+
+def _by_count_then_spin_string(g):
+    """The vertex masks sorted by (+1 count, spin string), the string
+    reading spin 1 first, '0' down and '1' up."""
+
+    def key(sigma):
+        return sigma.count_plus(), "".join("1" if s == 1 else "0" for s in sigma.spins)
+
+    return [sigma.mask for sigma in sorted(g.vertices, key=key)]
+
+
+def test_canonical_masks_sort_by_count_then_spin_string_exhaustive_small():
+    for n in range(1, 7):
+        for values in permutations(range(1, n + 1)):
+            g = build_bfs(make_permutation(values))
+            assert g.canonical_masks() == _by_count_then_spin_string(g), values
+
+
+def test_canonical_masks_sort_by_count_then_spin_string_on_the_export_pool():
+    # the two smallest graphs of the benchmark's export pool, n=36
+    pool_path = Path(__file__).resolve().parents[1] / "perfbench" / "export_pool.json"
+    pool = json.loads(pool_path.read_text(encoding="utf-8"))
+    for entry in sorted(pool, key=lambda entry: entry["vertices"])[:2]:
+        g = build_bfs(make_permutation(entry["perm"]))
+        got, want = g.canonical_masks(), _by_count_then_spin_string(g)
+        # the first mismatch, not pytest's diff of two lists this long
+        mismatch = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), None)
+        assert len(got) == len(want) and mismatch is None, mismatch
