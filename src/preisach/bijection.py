@@ -151,7 +151,7 @@ class Staircase:
 
         >>> from preisach.graph import _mask_steppers
         >>> rho = Permutation((2, 3, 1))
-        >>> _, _, first, rest = _closure(0, *_mask_steppers(rho), 8)
+        >>> _, _, first, rest = _closure(*_mask_steppers(rho))
         >>> code = Staircase(rho)
         >>> code.encodes_cells(first, rest, _label_lengths(rest))
         True
@@ -218,9 +218,9 @@ def phi(g: PreisachGraph, sigma: SpinConfig) -> tuple[int, ...]:
 
 def phi_all(g: PreisachGraph) -> dict[SpinConfig, tuple[int, ...]]:
     """phi for every vertex, labelled by the breadth-first pass (_closure)
-    on g's successor maps and rebuilt as tuples (_labels).  Its budget, one
-    more than the edge count, is one no graph can exceed."""
-    _, _, first, rest = _closure(0, g.u_next.get, g.d_next.get, 1 + g.edge_count)
+    on g's successor maps and rebuilt as tuples (_labels); g is built, so
+    there is no budget to decide."""
+    _, _, first, rest = _closure(g.u_next.get, g.d_next.get)
     return {g.config(m): s for m, s in _labels(first, rest).items()}
 
 
@@ -232,7 +232,7 @@ def nesting_degree(g: PreisachGraph, sigma: SpinConfig) -> int:
 def nesting_degrees(g: PreisachGraph) -> dict[SpinConfig, int]:
     """Nesting degree of every vertex: the length of its phi, from the
     cons cells of the breadth-first pass (_label_lengths)."""
-    rest = _closure(0, g.u_next.get, g.d_next.get, 1 + g.edge_count)[3]
+    rest = _closure(g.u_next.get, g.d_next.get)[3]
     return {g.config(m): k for m, k in _label_lengths(rest).items()}
 
 

@@ -23,8 +23,10 @@ from .graph import (
     VertexBudgetExceeded,
     _SIGNS,
     _charge,
+    _charge_graph,
     _closure,
     _forward_agrees,
+    _graph_size,
     _label_lengths,
     _mask_steppers,
     _merge_bottom,
@@ -303,17 +305,18 @@ def cmd_verify(rho: Permutation, max_vertices: int = DEFAULT_MAX_VERTICES) -> Ve
     each length equal to the nesting degree, graph nesting = LIS length,
     loop return-point memory of (alpha, omega), and both merge identities.
 
-    Every check runs on the mask successor maps (bit i-1 of a vertex mask
-    set meaning spin i is up) of one breadth-first pass (graph._closure),
-    which also labels phi, as cons cells.  The steppers of rho are built
-    once, for the pass and both merge identities.  One major sub-cycle walk
-    from (alpha, omega) (graph._subcycle_walk) decides loop return-point
-    memory and gives each vertex its depth in the hierarchy of sub-cycles,
-    its nesting degree, which must equal its phi length; on maps whose
-    walk fails there are no degrees, so bijection_ok is false as well as
-    lrpm_ok.  Builder agreement runs build_forward's rule against the same
-    maps (graph._forward_agrees) instead of building a second graph.  The
-    cells are dropped once checked, before the walk, where the run peaks.
+    The budget is decided first, from the subsequence count.  Every check
+    runs on the mask successor maps (bit i-1 of a vertex mask set meaning
+    spin i is up) of one breadth-first pass (graph._closure), which also
+    labels phi, as cons cells.  The steppers of rho are built once, for the
+    pass and both merge identities.  One major sub-cycle walk from (alpha,
+    omega) (graph._subcycle_walk) decides loop return-point memory and gives
+    each vertex its depth in the hierarchy of sub-cycles, its nesting
+    degree, which must equal its phi length; on maps whose walk fails there
+    are no degrees, so bijection_ok is false as well as lrpm_ok.  Builder
+    agreement runs build_forward's rule against the same maps
+    (graph._forward_agrees) instead of building a second graph.  The cells
+    are dropped once checked, before the walk, where the run peaks.
 
     phi is checked without listing the increasing subsequences.  Every
     vertex has a label, and Staircase.encodes_cells confirms, in O(1) per
@@ -323,12 +326,12 @@ def cmd_verify(rho: Permutation, max_vertices: int = DEFAULT_MAX_VERTICES) -> Ve
     sets are finite, and of equal size when vertex_count ==
     count_increasing(rho), so phi is then onto as well."""
     t0 = time.perf_counter()
+    count = count_increasing(rho)
+    _charge(count, max_vertices)
     steps = _mask_steppers(rho)
-    u_next, d_next, first, rest = _closure(0, *steps, max_vertices)
+    u_next, d_next, first, rest = _closure(*steps)
     # every vertex but omega has a U-edge
     vertex_count = len(u_next) + 1
-
-    count = count_increasing(rho)
     cardinality_ok = vertex_count == count
 
     lengths = _label_lengths(rest)
@@ -437,14 +440,6 @@ class StatsReport:
     nesting_checked: int
 
 
-def _graph_size(rho: Permutation, lis: int, max_vertices: int) -> int:
-    """count_increasing(rho), the vertex count of G(rho), or 2**lis when
-    that lower bound (subsets of an increasing subsequence are increasing)
-    is already over max_vertices; lis is the LIS length of rho."""
-    bound = 1 << lis
-    return bound if bound > max_vertices else count_increasing(rho)
-
-
 def cmd_stats(
     n: int, samples: int, seed: int, max_vertices: int = DEFAULT_MAX_VERTICES
 ) -> StatsReport:
@@ -464,7 +459,7 @@ def cmd_stats(
         lis = lis_patience(rho)
         lis_values.append(lis)
         if _graph_size(rho, lis, max_vertices) <= max_vertices:
-            rest = _closure(0, *_mask_steppers(rho), max_vertices)[3]
+            rest = _closure(*_mask_steppers(rho))[3]
             if max(_label_lengths(rest).values()) != lis:
                 raise RuntimeError(f"graph nesting != LIS for {rho.values}")
             checked += 1
@@ -529,14 +524,6 @@ def _cmd_graph(args: argparse.Namespace) -> int:
     return 0
 
 
-def _charge_graph(rho: Permutation, max_vertices: int) -> None:
-    """Raise VertexBudgetExceeded, with the same message, exactly where
-    build_bfs(rho, max_vertices) would, without building: the graph has
-    count_increasing(rho) vertices, decided as cmd_stats decides it, by
-    the 2**LIS lower bound first."""
-    _charge(_graph_size(rho, lis_patience(rho), max_vertices), max_vertices)
-
-
 def _phi_of(rho: Permutation, text: str) -> tuple[int, ...]:
     """phi of the vertex given as a sign string, by the staircase codec."""
     sigma = parse_config(text, rho.n)
@@ -564,12 +551,12 @@ def _cmd_phi_inverse(args: argparse.Namespace) -> int:
 
 def _cmd_nesting(args: argparse.Namespace) -> int:
     rho = parse_permutation(args.perm)
+    _charge_graph(rho, args.max_vertices)
     if args.vertex is None:
         # the longest phi label of the breadth-first pass build_bfs runs
-        rest = _closure(0, *_mask_steppers(rho), args.max_vertices)[3]
+        rest = _closure(*_mask_steppers(rho))[3]
         value = max(_label_lengths(rest).values())
     else:
-        _charge_graph(rho, args.max_vertices)
         value = len(_phi_of(rho, args.vertex))
     _write_out(str(value), args.out)
     return 0

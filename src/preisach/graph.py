@@ -11,6 +11,9 @@ omega are never stored.  `SpinConfig` is the view at the API boundary:
 vertices in one canonical order, by +1 count and then by spin sequence,
 which `_canonical_names` gives with each vertex's sign string.
 
+The vertex budget is decided once, before anything is built, by
+`_charge_graph`; the passes take none.
+
 Two independent builders are provided.  `build_bfs` closes {alpha} under the
 two maps.  `build_forward` grows one graph of n-spin configurations value by
 value: the graph for the entries <= m+1 is the graph for the entries <= m,
@@ -51,6 +54,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, TypeVar
 
 from .core import Permutation, SpinConfig
+from .oracles import count_increasing, lis_patience
 
 __all__ = [
     "DEFAULT_MAX_VERTICES",
@@ -177,6 +181,21 @@ def _charge(count: int, max_vertices: int) -> None:
         )
 
 
+def _graph_size(rho: Permutation, lis: int, max_vertices: int) -> int:
+    """count_increasing(rho), the vertex count of G(rho), or 2**lis when
+    that lower bound (subsets of an increasing subsequence are increasing)
+    is already over max_vertices; lis is the LIS length of rho."""
+    bound = 1 << lis
+    return bound if bound > max_vertices else count_increasing(rho)
+
+
+def _charge_graph(rho: Permutation, max_vertices: int) -> None:
+    """The budget gate: raise VertexBudgetExceeded if G(rho) has more than
+    max_vertices vertices, decided without building, by the 2**LIS lower
+    bound first, so that an identity of any length is refused at once."""
+    _charge(_graph_size(rho, lis_patience(rho), max_vertices), max_vertices)
+
+
 def _mask_steppers(rho: Permutation) -> tuple[Step[int], Step[int]]:
     """U and D on vertex masks, bit i-1 set meaning spin i is up.  Each
     returns None at its fixed point: omega for U, alpha for D."""
@@ -197,9 +216,9 @@ def _mask_steppers(rho: Permutation) -> tuple[Step[int], Step[int]]:
 
 
 def _closure(
-    start: int, u_step: Step[int], d_step: Step[int], max_vertices: int
+    u_step: Step[int], d_step: Step[int]
 ) -> tuple[dict[int, int], dict[int, int], dict[int, int], dict[int, int]]:
-    """Close {start} under two steps on vertex masks, breadth-first, U
+    """Close {alpha} under two steps on vertex masks, breadth-first, U
     explored before D from each dequeued vertex: the U- and D-successor maps
     and phi of every vertex as cons cells, in one pass.
 
@@ -208,22 +227,20 @@ def _closure(
     tree edge (the one bit v ^ t), followed by phi(rest[t]): rest[t] is v
     when the edge's kind differs from v's tree-edge kind, so the edge
     prepends a switch-back label, and rest[v] when it is the same, so it
-    replaces v's newest one.  start has no entry, its phi being ().  Both
+    replaces v's newest one.  alpha has no entry, its phi being ().  Both
     tables list the vertices in the order they are first reached, each
     rest[t] before t; _labels rebuilds the tuples, _label_lengths their
-    lengths.  Raises VertexBudgetExceeded past max_vertices vertices, and
-    UniquenessViolation if some vertex is reached by two distinct parents
-    at the same depth.
+    lengths.  Raises UniquenessViolation if some vertex is reached by two
+    distinct parents at the same depth.  The budget is the caller's.
     """
-    _charge(1, max_vertices)
     u_next: dict[int, int] = {}
     d_next: dict[int, int] = {}
     first: dict[int, int] = {}
     rest: dict[int, int] = {}
-    depth = {start: 0}
+    depth = {0: 0}
     # a queue entry carries a vertex, its children's depth, its tree-edge
     # kind (the map its tree edge is in) and its rest
-    queue = deque([(start, 1, None, None)])
+    queue = deque([(0, 1, None, None)])
     while queue:
         v, d, tree_kind, v_rest = queue.popleft()
         for step, succ in ((u_step, u_next), (d_step, d_next)):
@@ -233,8 +250,6 @@ def _closure(
             succ[v] = t
             seen = depth.get(t)
             if seen is None:
-                if len(depth) >= max_vertices:
-                    _charge(len(depth) + 1, max_vertices)
                 depth[t] = d
                 first[t] = (v ^ t).bit_length()
                 r = rest[t] = v_rest if tree_kind is succ else v
@@ -299,16 +314,11 @@ def _forward_steps(
         top |= bit
 
 
-def _forward_maps(
-    rho: Permutation, max_vertices: int = DEFAULT_MAX_VERTICES
-) -> tuple[dict[int, int], dict[int, int]]:
+def _forward_maps(rho: Permutation) -> tuple[dict[int, int], dict[int, int]]:
     """build_forward on vertex masks: the U- and D-successor maps."""
-    _charge(2, max_vertices)
-    # every vertex but the current top has a U-edge, so |V| = len(u_next) + 1
     u_next = {0: 1}
     d_next = {1: 0}
     for bit, bottom, top, loop in _forward_steps(rho, u_next, d_next):
-        _charge(len(u_next) + 1 + len(loop), max_vertices)
         for v in loop:
             if v != top:
                 u_next[v | bit] = u_next[v] | bit
@@ -359,8 +369,9 @@ def build_bfs(rho: Permutation, max_vertices: int = DEFAULT_MAX_VERTICES) -> Pre
     """Close {alpha} under the two maps, recording every non-fixed-point
     transition as an edge.  From each dequeued vertex the U-successor
     is explored before the D-successor.  The pass also labels phi (see
-    _closure); the labels are dropped."""
-    u_next, d_next, _, _ = _closure(0, *_mask_steppers(rho), max_vertices)
+    _closure); the labels are dropped.  The budget is decided first."""
+    _charge_graph(rho, max_vertices)
+    u_next, d_next, _, _ = _closure(*_mask_steppers(rho))
     return PreisachGraph(rho, u_next, d_next)
 
 
@@ -375,9 +386,10 @@ def build_forward(rho: Permutation, max_vertices: int = DEFAULT_MAX_VERTICES) ->
     up, v to v | 1 << (m-1), keeping edge labels; one U-edge and one D-edge
     labeled m join the two parts.  No vertex outside the copied loop, a
     plain closure of top (_loop_closure), is touched.  Returns a graph equal
-    to build_bfs(rho).
+    to build_bfs(rho), and decides the budget as it does, first.
     """
-    return PreisachGraph(rho, *_forward_maps(rho, max_vertices))
+    _charge_graph(rho, max_vertices)
+    return PreisachGraph(rho, *_forward_maps(rho))
 
 
 def _subcycle_walk(u_succ: Step, d_succ: Step, mu, nu) -> dict | None:
@@ -427,7 +439,7 @@ def _subcycle_walk(u_succ: Step, d_succ: Step, mu, nu) -> dict | None:
     pass falsely.  Every state the walk meets is a key, mu and nu
     included: for (alpha, omega), every vertex.
 
-    >>> u_next, d_next, _, _ = _closure(0, *_mask_steppers(Permutation((2, 3, 1))), 8)
+    >>> u_next, d_next, _, _ = _closure(*_mask_steppers(Permutation((2, 3, 1))))
     >>> sorted(_subcycle_walk(u_next.get, d_next.get, 0, 0b111).items())
     [(0, 0), (1, 1), (3, 1), (5, 2), (7, 1)]
     >>> print(_subcycle_walk(u_next.get, {**d_next, 0b011: 0}.get, 0, 0b111))

@@ -462,7 +462,7 @@ def fixpoint_degrees(u_step: Step[S], d_step: Step[S], mu: S, nu: S) -> dict[S, 
     _subcycle_walk's degrees.
 
     >>> from preisach.graph import _closure
-    >>> u_next, d_next, _, _ = _closure(0, *_mask_steppers(Permutation((2, 3, 1))), 8)
+    >>> u_next, d_next, _, _ = _closure(*_mask_steppers(Permutation((2, 3, 1))))
     >>> sorted(fixpoint_degrees(u_next.get, d_next.get, 0, 0b111).items())
     [(0, 0), (1, 1), (3, 1), (5, 2), (7, 1)]
     """

@@ -29,7 +29,6 @@ from preisach import (
 )
 from preisach.cli import random_permutation
 from preisach.graph import (
-    DEFAULT_MAX_VERTICES,
     _closure,
     _label_lengths,
     _labels,
@@ -101,7 +100,7 @@ def test_breadth_first_pass_fires_on_forged_steps():
     # the same diamond as step functions on masks: 00 -> 01 -> 11 and 00 -> 10 -> 11
     u_next, d_next = {0b00: 0b01, 0b01: 0b11, 0b10: 0b11}, {0b00: 0b10}
     with pytest.raises(UniquenessViolation, match="uniqueness violated"):
-        _closure(0b00, u_next.get, d_next.get, 4)
+        _closure(u_next.get, d_next.get)
 
 
 def test_block_decomposition_empty():
@@ -264,7 +263,7 @@ def test_bijection_exhaustive_small():
 
 
 def _assert_mask_labels_match_view(rho):
-    labels = _labels(*_closure(0, *_mask_steppers(rho), DEFAULT_MAX_VERTICES)[2:])
+    labels = _labels(*_closure(*_mask_steppers(rho))[2:])
     degrees = _alternation_masks(rho)
     def config(m):
         return SpinConfig._unchecked(rho.n, m)
@@ -360,7 +359,7 @@ def test_staircase_matches_breadth_first_phi_exhaustive_small():
         for values in permutations(range(1, n + 1)):
             rho = make_permutation(values)
             code = Staircase(rho)
-            labels = _labels(*_closure(0, *_mask_steppers(rho), DEFAULT_MAX_VERTICES)[2:])
+            labels = _labels(*_closure(*_mask_steppers(rho))[2:])
             for c in range(1 << n):
                 s = code.decode(c)
                 if c in labels:
@@ -371,7 +370,7 @@ def test_staircase_matches_breadth_first_phi_exhaustive_small():
 
 def _cells(rho):
     """The cons cells (first, rest) of the breadth-first pass over rho."""
-    return _closure(0, *_mask_steppers(rho), DEFAULT_MAX_VERTICES)[2:]
+    return _closure(*_mask_steppers(rho))[2:]
 
 
 def test_encodes_cells_matches_per_label_encode_exhaustive_small():

@@ -7,6 +7,7 @@ import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -22,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import preisach.cli
+import preisach.graph
 from preisach import (
     Permutation,
     PreisachGraph,
@@ -29,6 +31,7 @@ from preisach import (
     VertexBudgetExceeded,
     alpha,
     build_bfs,
+    build_forward,
     count_increasing,
     lis_patience,
     make_permutation,
@@ -51,7 +54,7 @@ from preisach.cli import (
     parse_permutation,
     random_permutation,
 )
-from preisach.graph import DEFAULT_MAX_VERTICES, _charge, _labels
+from preisach.graph import DEFAULT_MAX_VERTICES, _labels
 from strategies import permutations_st
 
 RHO231 = make_permutation([2, 3, 1])
@@ -380,8 +383,8 @@ def _forge_maps(monkeypatch, edit):
     with the entries of edit, mask to mask, put in."""
     real = preisach.cli._closure
 
-    def forged(start, u_step, d_step, max_vertices):
-        u_next, d_next, first, rest = real(start, u_step, d_step, max_vertices)
+    def forged(u_step, d_step):
+        u_next, d_next, first, rest = real(u_step, d_step)
         return u_next, {**d_next, **edit}, first, rest
 
     monkeypatch.setattr(preisach.cli, "_closure", forged)
@@ -423,8 +426,8 @@ def _forge_labels(monkeypatch, relabel):
     label is the forged label's tail."""
     real = preisach.cli._closure
 
-    def forged(start, u_step, d_step, max_vertices):
-        u_next, d_next, first, rest = real(start, u_step, d_step, max_vertices)
+    def forged(u_step, d_step):
+        u_next, d_next, first, rest = real(u_step, d_step)
         labels = _labels(first, rest)
         order = list(labels)
         first, rest = dict(first), dict(rest)
@@ -440,7 +443,7 @@ def _forge_labels(monkeypatch, relabel):
 def test_cmd_verify_rejects_swapped_labels(monkeypatch):
     # +-- and ++- swap labels: the same set of labels, the same lengths,
     # but no longer phi
-    labels = _labels(*_closure(0, *_mask_steppers(RHO231), 8)[2:])
+    labels = _labels(*_closure(*_mask_steppers(RHO231))[2:])
     assert (labels[0b001], labels[0b011]) == ((1,), (2,))
     _forge_labels(monkeypatch, {0b001: (2,), 0b011: (1,)})
     report = cmd_verify(RHO231)
@@ -636,12 +639,43 @@ def test_cmd_stats_budget_boundary():
     assert cmd_stats(12, 1, seed, max_vertices=c - 1).nesting_checked == 0
 
 
-def test_cli_stats_output_matches_readme(capsys):
+def _readme_cli_examples():
+    """Each `$ preisach ...` example of the README's CLI block, as its argv
+    and the output shown under it, blank-line separated."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    command = "$ preisach stats --n 400 --samples 200 --seed 7\n"
-    example = readme.split(command, 1)[1].split("```", 1)[0].strip()
-    assert main(["stats", "--n", "400", "--samples", "200", "--seed", "7"]) == 0
-    assert capsys.readouterr().out.splitlines() == example.splitlines()
+    block = readme.split("## CLI", 1)[1].split("```text\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for chunk in block.strip().split("\n\n"):
+        command, _, output = chunk.partition("\n")
+        argv = shlex.split(command.removeprefix("$ preisach "), comments=True)
+        examples.append(pytest.param(argv, output, id=argv[0]))
+    return examples
+
+
+def _mask_elapsed(text):
+    return re.sub(r"^elapsed=[0-9.]+s$", "elapsed=...", text, flags=re.M)
+
+
+_README_EXAMPLES = _readme_cli_examples()
+
+
+def _subcommands():
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return subparsers.choices
+
+
+def test_readme_cli_block_has_an_example_of_every_subcommand():
+    assert sorted(p.id for p in _README_EXAMPLES) == sorted(_subcommands())
+
+
+@pytest.mark.parametrize("argv, output", _README_EXAMPLES)
+def test_cli_output_matches_readme(argv, output, capsys):
+    # every example prints what the README shows, its elapsed time aside
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert (_mask_elapsed(out), err) == (_mask_elapsed(output) + "\n", "")
 
 
 def test_readme_quick_start_runs():
@@ -1011,6 +1045,52 @@ def test_cli_integer_options_take_only_plain_ascii_integers(key, value, spelling
     assert f"error: argument {option}: invalid int value: {token!r}\n" in err.getvalue(), argv
 
 
+# for every option of any subcommand: the value it is given where it is
+# required (None: it is left at its default), and a second value, which
+# must change what the command prints or its exit code
+_OPTION_VALUES = {
+    "--perm": ("2,3,1", "1,2,3"),
+    "--vertex": ("+-+", "+++"),
+    "--subseq": ("2,3", "()"),
+    "--n": ("2", "3"),
+    "--samples": ("1", "2"),
+    "--seed": (None, "1"),
+    "--max-vertices": (None, "1"),
+    "--out": (None, "out.txt"),
+    "--help": (None, None),
+}
+
+
+_SUBCOMMAND_OPTIONS = [
+    pytest.param(command, action.option_strings[-1], id=f"{command}:{action.option_strings[-1]}")
+    for command, sub in _subcommands().items()
+    for action in sub._actions
+]
+
+
+def _outcome(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, _mask_elapsed(out.getvalue()), err.getvalue()
+
+
+@pytest.mark.parametrize("command, option", _SUBCOMMAND_OPTIONS)
+def test_every_option_changes_the_output_or_the_exit_code(command, option, tmp_path, monkeypatch):
+    # generated from the parser, so an option added without a value here,
+    # or one that has no effect, fails
+    monkeypatch.chdir(tmp_path)
+    assert option in _OPTION_VALUES, f"no values to try for {command} {option}"
+    actions = {a.option_strings[-1]: a for a in _subcommands()[command]._actions}
+    argv = [command]
+    for name, action in actions.items():
+        if action.required:
+            argv.append(f"{name}={_OPTION_VALUES[name][0]}")
+    other = _OPTION_VALUES[option][1]
+    changed = [*argv, option if actions[option].nargs == 0 else f"{option}={other}"]
+    assert _outcome(changed) != _outcome(argv), changed
+
+
 def test_cli_negative_budget_still_exits_3(capsys):
     assert main(["build", "--perm", "2,3,1", "--max-vertices", "-1"]) == 3
     assert capsys.readouterr() == ("", "error: vertex budget exceeded: budget is empty\n")
@@ -1072,29 +1152,82 @@ def _no_count(rho):
     raise AssertionError(f"counted the subsequences of a {rho.n}-permutation")
 
 
-@pytest.mark.parametrize("command", ["phi", "phi-inverse", "nesting"])
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        ("phi", "--vertex"),
+        ("phi-inverse", "--subseq"),
+        ("nesting", "--vertex"),
+        ("nesting", None),
+        ("build", None),
+        ("export-json", None),
+        ("verify", None),
+    ],
+    ids=["phi", "phi-inverse", "nesting", "nesting-graph", "build", "export-json", "verify"],
+)
 def test_cli_codec_commands_refuse_below_the_lis_bound_without_counting(
-    command, monkeypatch, capsys
+    command, option, monkeypatch, capsys
 ):
-    # a budget under 2**LIS is refused with build_bfs's message and no
-    # count: at n=400 (LIS about 36) the count was the whole cost of it
-    monkeypatch.setattr(preisach.cli, "count_increasing", _no_count)
+    # a budget under 2**LIS is refused by the budget gate with build_bfs's
+    # message and no count: at n=400 (LIS about 36) the count was the whole
+    # cost of it.  verify counts for its cardinality check, in O(n log n),
+    # through its own name, not through the gate.
+    monkeypatch.setattr(preisach.graph, "count_increasing", _no_count)
     cases = [
         (make_permutation([2, 4, 3, 5, 1]), (1, 7)),
         (random_permutation(400, 0, 0), (1, 1000, DEFAULT_MAX_VERTICES)),
     ]
     for rho, budgets in cases:
         assert 2 ** lis_patience(rho) > max(budgets)
-        arg = ["--subseq", "()"] if command == "phi-inverse" else ["--vertex=" + "-" * rho.n]
+        arg = {"--subseq": ["--subseq", "()"], "--vertex": ["--vertex=" + "-" * rho.n], None: []}
         perm = ",".join(map(str, rho.values))
         for budget in budgets:
-            assert main([command, *arg, "--perm", perm, "--max-vertices", str(budget)]) == 3
+            argv = [command, *arg[option], "--perm", perm, "--max-vertices", str(budget)]
+            assert main(argv) == 3
             with pytest.raises(VertexBudgetExceeded) as exc:
-                if budget < DEFAULT_MAX_VERTICES:
-                    build_bfs(rho, budget)
-                else:  # build_bfs raises here too, after 2^20 vertices
-                    _charge(budget + 1, budget)
+                build_bfs(rho, budget)
             assert capsys.readouterr() == ("", f"error: {exc.value}\n")
+
+
+def _no_build(*args):
+    raise AssertionError("a graph pass started over the budget")
+
+
+@pytest.mark.parametrize(
+    "values, budget",
+    [(tuple(range(1, 31)), None), ((2, 4, 3, 5, 1), "count-1")],
+    ids=["identity-30-default", "24351-count-1"],
+)
+def test_every_entry_point_refuses_an_over_budget_permutation_before_building(
+    values, budget, monkeypatch, capsys
+):
+    # the budget is decided before any pass starts: with every pass made to
+    # fail, each builder, cmd_verify, cmd_verify_all and every command that
+    # builds still refuses, with the message a pass that ran out would give
+    rho = make_permutation(values)
+    limit = DEFAULT_MAX_VERTICES if budget is None else count_increasing(rho) - 1
+    monkeypatch.setattr(preisach.graph, "_closure", _no_build)
+    monkeypatch.setattr(preisach.graph, "_forward_maps", _no_build)
+    monkeypatch.setattr(preisach.cli, "_closure", _no_build)
+    message = f"vertex budget exceeded: graph needs more than {limit} vertices"
+    for call in (build_bfs, build_forward, cmd_verify):
+        with pytest.raises(VertexBudgetExceeded) as exc:
+            call(rho, limit)
+        assert str(exc.value) == message, call
+    with pytest.raises(VertexBudgetExceeded) as exc:
+        cmd_verify_all(4, 2)
+    assert str(exc.value) == "vertex budget exceeded: graph needs more than 2 vertices"
+    options = ["--perm", ",".join(map(str, values))]
+    if budget is not None:
+        options += ["--max-vertices", str(limit)]
+    for command in ("build", "export-dot", "export-json", "verify", "nesting"):
+        assert main([command, *options]) == 3, command
+        assert capsys.readouterr() == ("", f"error: {message}\n"), command
+    assert main(["verify-all", "--n", "4", "--max-vertices", "2"]) == 3
+    assert capsys.readouterr() == (
+        "",
+        "error: vertex budget exceeded: graph needs more than 2 vertices\n",
+    )
 
 
 @pytest.mark.parametrize(

@@ -143,7 +143,7 @@ def test_budget_is_exact(build, values):
 @pytest.mark.parametrize("build", [build_bfs, build_forward])
 @pytest.mark.parametrize("budget", [0, -1])
 def test_builders_name_an_empty_budget_alike(build, budget):
-    # one gate, graph._charge, for both builders and the CLI's budget checks
+    # one gate, graph._charge_graph, for both builders and the CLI's budget checks
     with pytest.raises(VertexBudgetExceeded) as exc:
         build(RHO231, max_vertices=budget)
     assert str(exc.value) == "vertex budget exceeded: budget is empty"
@@ -189,7 +189,7 @@ def test_build_forward_matches_bfs_wide(index):
 
 def _closure_maps(rho):
     """The U- and D-successor maps of the breadth-first pass over rho."""
-    return _closure(0, *_mask_steppers(rho), count_increasing(rho))[:2]
+    return _closure(*_mask_steppers(rho))[:2]
 
 
 def test_forward_agrees_is_the_forward_comparison_exhaustive_small():
@@ -529,7 +529,7 @@ def _assert_walk_degrees_are_nesting_degrees(rho):
     steppers, gives every vertex len(phi) as its degree, which the
     alternation search and the order-free fixpoint give too."""
     steps = _mask_steppers(rho)
-    u_next, d_next, _, rest = _closure(0, *steps, count_increasing(rho))
+    u_next, d_next, _, rest = _closure(*steps)
     lengths = _label_lengths(rest)
     ends = (0, (1 << rho.n) - 1)
     assert _subcycle_walk(u_next.get, d_next.get, *ends) == lengths, rho.values
@@ -690,7 +690,7 @@ def _assert_loop_sizes(rho):
     has increasing subsequences ending at value m, and its copies are the
     vertices whose breadth-first phi label ends in m."""
     ending = Counter(s[-1] for s in enumerate_increasing(rho) if s)
-    labels = _labels(*_closure(0, *_mask_steppers(rho), count_increasing(rho))[2:])
+    labels = _labels(*_closure(*_mask_steppers(rho))[2:])
     for m, (_, u_next, d_next, bottom, top) in enumerate(_forward_steps(rho), 2):
         loop = _loop_closure(u_next, d_next, bottom, top)
         assert len(loop) == ending[m], (rho.values, m)
